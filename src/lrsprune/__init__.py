@@ -72,6 +72,7 @@ from .rpca import (
     decompose,
     default_lambda,
     soft_threshold,
+    svt,
     svt_shrink,
     update_l,
     update_s,

@@ -87,29 +87,7 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def spectral_norm(a, tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Deterministic: starts from the all-ones vector and iterates the smaller
-    Gram side until successive estimates agree to a relative ``tol``. A zero
-    matrix returns 0.
-    """
+def spectral_norm(a) -> float:
+    """Largest singular value; 0 for a zero-size or all-zero matrix."""
     m = as_matrix(a)
-    if m.size == 0 or not m.any():
-        return 0.0
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    g = m.T @ m
-    x = np.full(g.shape[0], 1.0 / np.sqrt(g.shape[0]))
-    est = 0.0
-    for _ in range(max_iters):
-        y = g @ x
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        if abs(norm_y - est) <= tol * norm_y:
-            est = norm_y
-            break
-        est = norm_y
-    return float(np.sqrt(est))
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0

@@ -61,6 +61,12 @@ class CompressionJob:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.initial_prob <= 1.0:
             raise ValueError("initial_prob must lie in [0, 1]")
+        dims = (self.model.input_dim, self.model.output_dim)
+        if (self.calib.inputs.shape[1], self.calib.targets.shape[1]) != dims:
+            raise ValueError(
+                f"calibration inputs {self.calib.inputs.shape} and targets "
+                f"{self.calib.targets.shape} do not fit a model mapping {dims[0]} to {dims[1]} dims"
+            )
         if self.layer_selection is not None:
             sel = list(self.layer_selection)
             if len(set(sel)) != len(sel) or sorted(sel) != sel:
@@ -116,7 +122,7 @@ def _selected(job: CompressionJob) -> list[int]:
 def _stage1(job: CompressionJob):
     order = _selected(job)
     results = {i: decompose(job.model.layers[i], job.rpca_config) for i in order}
-    pools = {i: build_pool(i, results[i].l, results[i].s) for i in order}
+    pools = {i: build_pool(i, results[i].factors, results[i].s) for i in order}
     return order, results, pools
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, svd
+from .linalg import SvdFactorization, as_matrix
 
 SIGMA_CUTOFF = 1e-12  # triplets with sigma <= SIGMA_CUTOFF * sigma_1 are dropped
 
@@ -40,7 +40,7 @@ class CandidatePool:
     layer_id: int | str
     rows: int
     cols: int
-    svd: SvdFactorization  # thin SVD of the low-rank part
+    svd: SvdFactorization  # factorization of the low-rank part
     sparse_entries: list[tuple[int, int, float]]  # in candidate order
     candidates: list[Candidate]
     total_cost: int
@@ -63,15 +63,17 @@ class CandidatePool:
         return np.array([c.cost for c in self.candidates], dtype=np.float64)
 
 
-def build_pool(layer_id, l, s) -> CandidatePool:
-    """Enumerate the candidates of one decomposed layer."""
-    l = as_matrix(l)
-    s = as_matrix(s)
-    if l.shape != s.shape:
-        raise ValueError(f"part shapes differ: {l.shape} vs {s.shape}")
-    rows, cols = l.shape
+def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
+    """Enumerate the candidates of one decomposed layer.
 
-    f = svd(l)
+    ``f`` factors the low-rank part, singular values descending (for
+    instance ``RpcaResult.factors``); ``s`` is the sparse part.
+    """
+    s = as_matrix(s)
+    rows, cols = f.u.shape[0], f.v.shape[0]
+    if (rows, cols) != s.shape:
+        raise ValueError(f"part shapes differ: {(rows, cols)} vs {s.shape}")
+
     if f.sigma.size and f.sigma[0] > 0.0:
         keep = np.flatnonzero(f.sigma > SIGMA_CUTOFF * f.sigma[0])
     else:

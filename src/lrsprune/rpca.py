@@ -9,6 +9,19 @@ mu and a running multiplier Y it alternates
 
 and stops once the relative feasibility residual
 ``||W - L - S||_F / ||W||_F`` drops to the configured tolerance.
+
+The SVT step computes only the triplets that can survive (Lin, Chen & Ma
+2010, section 4). The predicted survivor count ``k`` starts at INITIAL_RANK;
+with ``svp`` survivors it becomes ``svp + 1`` if ``svp < k``, else ``svp``
+plus RANK_STEP of the smaller dimension. A randomized range finder (Halko,
+Martinsson & Tropp 2011) with OVERSAMPLE extra columns, POWER_ITERS QR-
+orthonormalized power iterations and a generator seeded in ``decompose``
+yields the top triplets. Exactness rule: a step is accepted only when the
+first computed value at or below the threshold stays there when widened by
+the residual of its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE``
+reaches half the smaller dimension the step takes the full SVD, so small
+layers always take the exact path. ``RpcaResult.factors`` holds the last
+step's shrunk factorization, whose product is ``l``.
 """
 
 from __future__ import annotations
@@ -17,10 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, spectral_norm, svd
+from .linalg import SvdFactorization, as_matrix, frobenius_norm, spectral_norm, svd
 
 MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR * mu_init
 RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
+INITIAL_RANK = 10  # predicted SVT rank of the first iteration
+RANK_STEP = 0.05  # rank growth, as a fraction of the smaller dimension
+OVERSAMPLE = 10  # range-finder columns beyond the predicted rank
+POWER_ITERS = 2  # range-finder power iterations
 
 
 class NonConvergenceError(Exception):
@@ -70,6 +87,7 @@ class RpcaResult:
     residual_history: list[float]
     rank_l: int
     sparsity_s: float  # fraction of exactly-zero entries in s
+    factors: SvdFactorization  # shrunk last SVT step; l == (u * sigma) @ v.T
 
 
 def default_lambda(rows: int, cols: int) -> float:
@@ -90,11 +108,48 @@ def soft_threshold(x, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
+def _top_triplets(a: np.ndarray, k: int, rng: np.random.Generator) -> SvdFactorization:
+    """Leading ``k`` singular triplets of ``a`` from a randomized range finder."""
+    q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], k)))[0]
+    for _ in range(POWER_ITERS):
+        q = np.linalg.qr(a.T @ q)[0]
+        q = np.linalg.qr(a @ q)[0]
+    f = svd(q.T @ a)
+    return SvdFactorization(u=q @ f.u, sigma=f.sigma, v=f.v)
+
+
+def svt(a, tau: float, k: int, rng: np.random.Generator | None) -> SvdFactorization:
+    """Singular value thresholding: the triplets of ``a`` above ``tau``, shrunk by ``tau``.
+
+    ``k`` is the predicted number of survivors. While ``k + OVERSAMPLE`` stays
+    below half the smaller dimension, the triplets come from the range finder
+    drawing on ``rng``, and ``k`` doubles until the first computed value at
+    or below ``tau`` stays there when widened by its residual; otherwise they
+    come from the full SVD, which needs no ``rng``.
+    """
+    a = as_matrix(a)
+    while 2 * (k + OVERSAMPLE) < min(a.shape):
+        f = _top_triplets(a, k + OVERSAMPLE, rng)
+        svp = int(np.count_nonzero(f.sigma > tau))
+        if svp < f.rank:
+            r = a @ f.v[:, svp] - f.sigma[svp] * f.u[:, svp]
+            if f.sigma[svp] + np.linalg.norm(r) <= tau:
+                break
+        k *= 2
+    else:
+        f = svd(a)
+    svp = int(np.count_nonzero(f.sigma > tau))
+    return SvdFactorization(
+        u=np.ascontiguousarray(f.u[:, :svp]),
+        sigma=svt_shrink(f.sigma[:svp], tau),
+        v=np.ascontiguousarray(f.v[:, :svp]),
+    )
+
+
 def update_l(w, s, y, mu: float) -> np.ndarray:
     """Low-rank step: SVT with threshold 1/mu applied to ``w - s + y/mu``."""
-    f = svd(w - s + y / mu)
-    shrunk = svt_shrink(f.sigma, 1.0 / mu)
-    return (f.u * shrunk) @ f.v.T
+    f = svt(w - s + y / mu, 1.0 / mu, min(np.shape(w)), None)
+    return (f.u * f.sigma) @ f.v.T
 
 
 def update_s(w, l, y, mu: float, lam: float) -> np.ndarray:
@@ -111,7 +166,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
 
     Returns:
         RpcaResult with the two parts, the per-iteration relative residual
-        history, and diagnostics (rank of l, zero fraction of s).
+        history, diagnostics (rank of l, zero fraction of s) and the
+        factorization of l.
 
     Raises:
         NonConvergenceError: the residual stayed above ``config.tol`` for
@@ -135,20 +191,28 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             residual_history=[],
             rank_l=0,
             sparsity_s=1.0,
+            factors=SvdFactorization(
+                u=np.zeros((rows, 0)), sigma=np.zeros(0), v=np.zeros((cols, 0))
+            ),
         )
 
     mu = config.mu_init if config.mu_init is not None else 1.25 / w_top
     mu_cap = MU_CAP_FACTOR * mu
     # dual-feasible start for the multiplier
     y = w / max(w_top, float(np.abs(w).max()) / lam)
-    l = np.zeros_like(w)
     s = np.zeros_like(w)
 
+    small = min(rows, cols)
+    k = INITIAL_RANK
+    rng = np.random.default_rng(0)
     history: list[float] = []
     residual = float("inf")
     iterations = config.max_iters
-    for k in range(1, config.max_iters + 1):
-        l = update_l(w, s, y, mu)
+    for it in range(1, config.max_iters + 1):
+        factors = svt(w - s + y / mu, 1.0 / mu, k, rng)
+        svp = factors.rank
+        k = svp + 1 if svp < k else min(svp + round(RANK_STEP * small), small)
+        l = (factors.u * factors.sigma) @ factors.v.T
         s = update_s(w, l, y, mu, lam)
         gap = w - l - s
         y = y + mu * gap
@@ -156,13 +220,13 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         residual = frobenius_norm(gap) / scale
         history.append(residual)
         if residual <= config.tol:
-            iterations = k
+            iterations = it
             break
     else:
         raise NonConvergenceError(config.max_iters, residual, config.tol)
 
-    sig = svd(l).sigma
-    rank_l = int(np.count_nonzero(sig > RANK_CUTOFF * sig[0])) if sig.size and sig[0] > 0 else 0
+    sig = factors.sigma
+    rank_l = int(np.count_nonzero(sig > RANK_CUTOFF * sig[0])) if sig.size else 0
     return RpcaResult(
         l=l,
         s=s,
@@ -172,4 +236,5 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         residual_history=history,
         rank_l=rank_l,
         sparsity_s=float(np.mean(s == 0.0)),
+        factors=factors,
     )

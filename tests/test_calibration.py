@@ -20,7 +20,7 @@ from lrsprune.calibration import (
     random_orthonormal,
     reconstruct,
 )
-from lrsprune.linalg import frobenius_norm
+from lrsprune.linalg import frobenius_norm, svd
 from lrsprune.pool import build_pool, param_count
 
 
@@ -29,7 +29,7 @@ def planted_pool():
     """Exact ground-truth pool: rank-2 spectrum plus graded sparse entries."""
     rng = np.random.default_rng(2)
     w, l0, s0 = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.06)
-    return build_pool(0, l0, s0), w, l0, s0
+    return build_pool(0, svd(l0), s0), w, l0, s0
 
 
 class TestToyModel:
@@ -156,7 +156,7 @@ class TestFactorize:
         v = np.zeros((5, 1))
         u[0, 0] = 1.0
         v[1, 0] = 1.0
-        pool = build_pool(0, 4.0 * (u @ v.T), np.zeros((6, 5)))
+        pool = build_pool(0, svd(4.0 * (u @ v.T)), np.zeros((6, 5)))
         layer = factorize(pool, np.ones(pool.size))
         assert np.linalg.norm(layer.u_prime[:, 0]) == pytest.approx(2.0, abs=1e-12)
         assert np.linalg.norm(layer.v_prime[:, 0]) == pytest.approx(2.0, abs=1e-12)
@@ -165,7 +165,7 @@ class TestFactorize:
     def test_stored_params_match_cost_accounting(self, bits):
         rng = np.random.default_rng(4)
         w, l0, s0 = planted_spectrum_matrix(10, 8, 1, rng, outlier_frac=0.08)
-        pool = build_pool(0, l0, s0)
+        pool = build_pool(0, svd(l0), s0)
         if pool.size != len(bits):
             bits = (bits * pool.size)[: pool.size]
         mask = np.array(bits)
@@ -182,7 +182,7 @@ class TestLossWithMasks:
             from lrsprune.rpca import decompose
 
             res = decompose(w)
-            pools[i] = build_pool(i, res.l, res.s)
+            pools[i] = build_pool(i, res.factors, res.s)
         masks = {i: np.ones(pools[i].size, dtype=np.int8) for i in pools}
         got = loss_with_masks(model, pools, masks, calib)
         rebuilt = ToyModel(
@@ -195,7 +195,7 @@ class TestLossWithMasks:
         model = default_toy_model(rng)
         calib = gen_calibration(model, 16, 0.0, rng)
         pools = {
-            i: build_pool(i, model.layers[i], np.zeros_like(model.layers[i]))
+            i: build_pool(i, svd(model.layers[i]), np.zeros_like(model.layers[i]))
             for i in range(3)
         }
         masks = {i: np.zeros(pools[i].size, dtype=np.int8) for i in pools}
@@ -206,7 +206,7 @@ class TestLossWithMasks:
     def test_partial_coverage_keeps_other_layers_dense(self, rng):
         model = default_toy_model(rng)
         calib = gen_calibration(model, 16, 0.0, rng)
-        pool = build_pool(1, model.layers[1], np.zeros_like(model.layers[1]))
+        pool = build_pool(1, svd(model.layers[1]), np.zeros_like(model.layers[1]))
         got = loss_with_masks(model, {1: pool}, {1: np.ones(pool.size)}, calib)
         # full mask on one layer reproduces that layer, so the loss stays tiny
         assert got <= 1e-12
@@ -214,7 +214,7 @@ class TestLossWithMasks:
     def test_key_mismatch_rejected(self, rng):
         model = default_toy_model(rng)
         calib = gen_calibration(model, 4, 0.0, rng)
-        pool = build_pool(0, model.layers[0], np.zeros_like(model.layers[0]))
+        pool = build_pool(0, svd(model.layers[0]), np.zeros_like(model.layers[0]))
         with pytest.raises(ValueError):
             loss_with_masks(model, {0: pool}, {1: np.ones(pool.size)}, calib)
         with pytest.raises(ValueError):
@@ -344,7 +344,7 @@ def test_top_direction_beats_smaller_alone(rng):
     w, l0, _ = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.0)
     model = ToyModel(layers=[l0], activation="identity")
     calib = gen_calibration(model, 256, 0.0, rng)
-    pool = build_pool(0, l0, np.zeros_like(l0))
+    pool = build_pool(0, svd(l0), np.zeros_like(l0))
     assert pool.n_triplets == 2
     top, second = np.zeros(pool.size), np.zeros(pool.size)
     top[0] = 1

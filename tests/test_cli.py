@@ -273,6 +273,15 @@ class TestCompress:
     def test_missing_model_dir_exit_code(self, tmp_path):
         assert main(["compress", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 5
 
+    def test_calibration_dim_mismatch_exit_code(self, tmp_path, tiny_config, model_dir, capsys):
+        write_matrix(model_dir / "calib.inputs.capm", np.zeros((16, 5)))
+        out = tmp_path / "o"
+        argv = ["compress", str(model_dir), "--config", str(tiny_config), "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 2
+        said = capsys.readouterr().err
+        assert "inputs (16, 5)" in said and "targets (16, 6)" in said
+        assert not out.exists()
+
 
 class TestSweepLambdaCommand:
     def test_table_shape_and_auto_label(self, tmp_path, tiny_config, capsys):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lrsprune.linalg import svd
 from lrsprune.oracle import brute_force_best_mask, exact_expected_loss
 from lrsprune.pool import build_pool
 
@@ -19,7 +20,7 @@ def small_pool():
     v = np.linalg.qr(rng.standard_normal((4, 1)))[0]
     s = np.zeros((6, 4))
     s[0, 1], s[2, 3], s[5, 0] = 3.0, -2.0, 1.0
-    return build_pool(0, 5.0 * (u @ v.T), s)
+    return build_pool(0, svd(5.0 * (u @ v.T)), s)
 
 
 class TestBruteForce:

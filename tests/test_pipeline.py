@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lrsprune.allocator import PolicyGradientConfig
-from lrsprune.calibration import gen_calibration, planted_model
+from lrsprune.calibration import CalibrationSet, gen_calibration, planted_model
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
     CompressionJob,
@@ -58,6 +58,17 @@ class TestJobValidation:
             CompressionJob(model=job.model, calib=job.calib, layer_selection=[0, 0])
         with pytest.raises(ValueError):
             CompressionJob(model=job.model, calib=job.calib, layer_selection=[3])
+
+    def test_calibration_dims_checked_up_front(self, quick_run):
+        job = quick_run[0]
+        wide = CalibrationSet(
+            inputs=np.zeros((4, job.model.input_dim + 1)), targets=job.calib.targets[:4]
+        )
+        with pytest.raises(ValueError, match=r"inputs \(4, 33\) and targets \(4, 16\)"):
+            CompressionJob(model=job.model, calib=wide)
+        narrow = CalibrationSet(inputs=job.calib.inputs[:4], targets=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"targets \(4, 3\)"):
+            CompressionJob(model=job.model, calib=narrow)
 
 
 class TestRunReport:
@@ -168,7 +179,7 @@ class TestNearOracle:
         job = single_layer_job(0, budget_fraction=4 / 384)
         report, _ = run(job)
         res = decompose(job.model.layers[0], job.rpca_config)
-        pool = build_pool(0, res.l, res.s)
+        pool = build_pool(0, res.factors, res.s)
         assert pool.size <= 12
 
         def loss_fn(bits):

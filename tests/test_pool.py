@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrsprune.calibration import planted_matrix
+from lrsprune.calibration import factorize, planted_matrix, reconstruct
+from lrsprune.linalg import SvdFactorization, svd
 from lrsprune.pool import Candidate, CandidateKind, build_pool, param_count
 from lrsprune.rpca import decompose
 
@@ -25,7 +26,7 @@ def rank2_plus_entries():
 
 class TestBuildPool:
     def test_empty_parts_make_empty_pool(self):
-        pool = build_pool(0, np.zeros((5, 4)), np.zeros((5, 4)))
+        pool = build_pool(0, svd(np.zeros((5, 4))), np.zeros((5, 4)))
         assert pool.size == 0
         assert pool.n_triplets == 0
         assert pool.total_cost == 0
@@ -33,7 +34,7 @@ class TestBuildPool:
 
     def test_rank2_with_seven_entries(self):
         l, s = rank2_plus_entries()
-        pool = build_pool("layer", l, s)
+        pool = build_pool("layer", svd(l), s)
         assert pool.n_triplets == 2
         assert pool.size == 9
         triplets = pool.candidates[:2]
@@ -46,14 +47,14 @@ class TestBuildPool:
 
     def test_triplets_sorted_by_descending_sigma(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         sig = [c.magnitude for c in pool.candidates[: pool.n_triplets]]
         assert sig == sorted(sig, reverse=True)
         np.testing.assert_allclose(sig, [5.0, 2.0], rtol=1e-12)
 
     def test_entries_sorted_by_descending_magnitude(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         mags = [c.magnitude for c in pool.candidates[pool.n_triplets :]]
         assert mags == sorted(mags, reverse=True)
         assert mags[0] == 10.0 and mags[-1] == 4.0
@@ -63,13 +64,13 @@ class TestBuildPool:
         s[1, 3] = 2.0
         s[0, 5] = -2.0
         s[0, 2] = 2.0
-        pool = build_pool(0, np.zeros((3, 6)), s)
+        pool = build_pool(0, svd(np.zeros((3, 6))), s)
         assert [c.index for c in pool.candidates] == [(0, 2), (0, 5), (1, 3)]
 
     def test_recounts_match_decomposition_diagnostics(self, rng):
         w, _, _ = planted_matrix(30, 20, 2, rng)
         res = decompose(w)
-        pool = build_pool(0, res.l, res.s)
+        pool = build_pool(0, res.factors, res.s)
         assert pool.n_triplets == res.rank_l
         nnz = int(np.count_nonzero(res.s))
         assert pool.size - pool.n_triplets == nnz
@@ -77,44 +78,83 @@ class TestBuildPool:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_pool(0, np.zeros((3, 3)), np.zeros((3, 4)))
+            build_pool(0, svd(np.zeros((3, 3))), np.zeros((3, 4)))
 
     def test_deterministic(self):
         l, s = rank2_plus_entries()
-        p1, p2 = build_pool(0, l, s), build_pool(0, l, s)
+        p1, p2 = build_pool(0, svd(l), s), build_pool(0, svd(l), s)
         assert p1.candidates == p2.candidates
         assert p1.entry_values.tobytes() == p2.entry_values.tobytes()
         assert p1.triplet_sigma.tobytes() == p2.triplet_sigma.tobytes()
 
 
+class TestDegenerateLayers:
+    """decompose -> build_pool on layers with one row, one entry or no mass."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_thin_layers(self, shape, rng):
+        w = rng.standard_normal(shape)
+        res = decompose(w)
+        pool = build_pool(0, res.factors, res.s)
+        assert (pool.rows, pool.cols) == shape
+        assert pool.n_triplets == res.rank_l <= 1
+        assert pool.total_cost == param_count(pool, np.ones(pool.size))
+        np.testing.assert_allclose(
+            reconstruct(pool, np.ones(pool.size)), res.l + res.s, rtol=0, atol=1e-12
+        )
+
+    def test_all_zero_layer(self):
+        res = decompose(np.zeros((5, 3)))
+        f = res.factors
+        assert (f.u.shape, f.sigma.shape, f.v.shape) == ((5, 0), (0,), (3, 0))
+        pool = build_pool(0, f, res.s)
+        assert pool.size == 0 and pool.total_cost == 0
+        np.testing.assert_array_equal(reconstruct(pool, np.zeros(0)), np.zeros((5, 3)))
+
+    def test_empty_factors_give_an_empty_pool(self):
+        empty = SvdFactorization(u=np.zeros((4, 0)), sigma=np.zeros(0), v=np.zeros((6, 0)))
+        pool = build_pool(0, empty, np.zeros((4, 6)))
+        assert pool.size == 0 and pool.n_triplets == 0 and pool.total_cost == 0
+        layer = factorize(pool, np.zeros(0, dtype=np.int8))
+        assert layer.u_prime.shape == (4, 0) and layer.v_prime.shape == (6, 0)
+        assert layer.stored_params == 0
+
+    def test_empty_factors_keep_sparse_entries(self):
+        empty = SvdFactorization(u=np.zeros((2, 0)), sigma=np.zeros(0), v=np.zeros((3, 0)))
+        s = np.array([[0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+        pool = build_pool(0, empty, s)
+        assert pool.n_triplets == 0 and pool.size == 2 and pool.total_cost == 2
+        np.testing.assert_array_equal(reconstruct(pool, np.ones(2)), s)
+
+
 class TestParamCount:
     def test_zero_mask(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         assert param_count(pool, np.zeros(pool.size)) == 0
 
     def test_full_mask(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         assert param_count(pool, np.ones(pool.size)) == pool.total_cost
 
     def test_single_triplet(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         mask = np.zeros(pool.size)
         mask[0] = 1
         assert param_count(pool, mask) == 16
 
     def test_wrong_length_rejected(self):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         with pytest.raises(ValueError):
             param_count(pool, np.zeros(pool.size + 1))
 
     @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=9, max_size=9))
     def test_equals_cost_dot_mask(self, bits):
         l, s = rank2_plus_entries()
-        pool = build_pool(0, l, s)
+        pool = build_pool(0, svd(l), s)
         mask = np.array(bits)
         assert param_count(pool, mask) == int(pool.costs() @ mask)
 

@@ -1,5 +1,6 @@
 """Solver checks: proximal steps against closed forms, recovery on planted
-ground truth, scale covariance, and the feasibility stopping rule."""
+ground truth, scale covariance, the feasibility stopping rule, and the
+truncated SVT against a full-SVD reference."""
 
 import numpy as np
 import pytest
@@ -7,18 +8,66 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrsprune.calibration import planted_matrix
+from lrsprune import rpca
+from lrsprune.calibration import planted_matrix, planted_spectrum_matrix
 from lrsprune.linalg import frobenius_norm, svd
 from lrsprune.rpca import (
+    MU_CAP_FACTOR,
+    RANK_CUTOFF,
     NonConvergenceError,
     RpcaConfig,
     decompose,
     default_lambda,
     soft_threshold,
+    svt,
     svt_shrink,
     update_l,
     update_s,
 )
+
+
+def full_svd_ialm(w, config=RpcaConfig()):
+    """The same ADMM with a full SVD in every SVT step, and rank_l from svd(l).
+
+    Returns (iterations, rank_l, l, s).
+    """
+    lam = default_lambda(*w.shape)
+    scale = np.linalg.norm(w)
+    w_top = np.linalg.norm(w, 2)
+    mu = 1.25 / w_top
+    mu_cap = MU_CAP_FACTOR * mu
+    y = w / max(w_top, np.abs(w).max() / lam)
+    s = np.zeros_like(w)
+    for it in range(1, config.max_iters + 1):
+        u, sig, vt = np.linalg.svd(w - s + y / mu, full_matrices=False)
+        l = (u * np.maximum(sig - 1.0 / mu, 0.0)) @ vt
+        s = soft_threshold(w - l + y / mu, lam / mu)
+        gap = w - l - s
+        y = y + mu * gap
+        mu = min(config.rho * mu, mu_cap)
+        if np.linalg.norm(gap) / scale <= config.tol:
+            break
+    sig = np.linalg.svd(l, compute_uv=False)
+    return it, int(np.count_nonzero(sig > RANK_CUTOFF * sig[0])), l, s
+
+
+def full_svt(a, tau):
+    u, sig, vt = np.linalg.svd(a, full_matrices=False)
+    return (u * np.maximum(sig - tau, 0.0)) @ vt
+
+
+@pytest.fixture
+def range_finder_calls(monkeypatch):
+    """Counts the truncated steps, so a test can show it left the full-SVD path."""
+    calls = []
+    original = rpca._top_triplets
+
+    def counted(a, k, rng):
+        calls.append(k)
+        return original(a, k, rng)
+
+    monkeypatch.setattr(rpca, "_top_triplets", counted)
+    return calls
 
 
 class TestDefaultLambda:
@@ -184,3 +233,67 @@ class TestDecompose:
         else:
             assert frobenius_norm(a - res.l - res.s) / scale <= cfg.tol * (1 + 1e-12)
             assert len(res.residual_history) == res.iterations
+
+
+class TestTruncatedSvt:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: planted_spectrum_matrix(256, 256, 21, rng)[0],
+            lambda rng: planted_matrix(128, 96, 6, rng)[0],
+        ],
+        ids=["256x256-rank21", "128x96-rank6"],
+    )
+    def test_matches_full_svd_ialm(self, make, rng, range_finder_calls):
+        w = make(rng)
+        res = decompose(w)
+        iterations, rank_l, l, s = full_svd_ialm(w)
+        assert len(range_finder_calls) >= res.iterations
+        assert res.iterations == iterations
+        assert res.rank_l == rank_l
+        assert np.array_equal(res.s != 0.0, s != 0.0)
+        assert frobenius_norm(res.l - l) <= 1e-6 * frobenius_norm(l)
+
+    def test_doubles_until_the_threshold_is_crossed(self, rng, range_finder_calls):
+        # 30 survivors against a first guess of 4: 14, 18, 26 computed values
+        # all lie above tau before 42 reach below it
+        u, _ = np.linalg.qr(rng.standard_normal((200, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((160, 40)))
+        sigma = np.concatenate([np.linspace(10.0, 2.0, 30), np.full(10, 1e-3)])
+        a = (u * sigma) @ v.T
+        f = svt(a, 1.0, 4, np.random.default_rng(1))
+        assert range_finder_calls == [14, 18, 26, 42]
+        assert f.rank == 30
+        np.testing.assert_allclose(f.sigma, sigma[:30] - 1.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 1.0), rtol=0, atol=1e-10)
+
+    def test_flat_spectrum_is_not_truncated_early(self, rng):
+        # no gap: the range finder's values near tau are unresolved, so the
+        # step ends exact rather than dropping survivors
+        a = rng.standard_normal((160, 120))
+        sig = np.linalg.svd(a, compute_uv=False)
+        tau = float(sig[39] + sig[40]) / 2
+        f = svt(a, tau, 10, np.random.default_rng(1))
+        assert f.rank == 40
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, tau), rtol=0, atol=1e-10)
+
+    def test_small_matrix_takes_the_full_svd(self, rng, range_finder_calls):
+        a = rng.standard_normal((40, 30))
+        f = svt(a, 1.0, 5, None)
+        assert range_finder_calls == []
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 1.0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(256, 256), (30, 20)])
+    def test_factors_multiply_to_l_byte_for_byte(self, shape, rng):
+        rank = max(1, min(shape) // 12)
+        res = decompose(planted_spectrum_matrix(*shape, rank, rng)[0])
+        f = res.factors
+        assert ((f.u * f.sigma) @ f.v.T).tobytes() == res.l.tobytes()
+        assert f.rank >= res.rank_l
+        assert np.all(f.sigma > 0.0)
+
+    def test_repeat_calls_byte_identical(self, rng):
+        w, _, _ = planted_spectrum_matrix(256, 256, 21, rng)
+        first, second = decompose(w), decompose(w)
+        for part in ("l", "s", "y"):
+            assert getattr(first, part).tobytes() == getattr(second, part).tobytes()
