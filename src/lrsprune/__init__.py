@@ -11,7 +11,6 @@ from .allocator import (
     MaskSample,
     PolicyGradientConfig,
     RetentionState,
-    exact_expected_loss_grad,
     finalize_masks,
     init_state,
     log_prob_grad,
@@ -53,7 +52,7 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .oracle import OracleResult, brute_force_best_mask, exact_expected_loss
+from .oracle import OracleResult, brute_force_best_mask, exact_expected_loss, exact_expected_loss_grad
 from .pipeline import (
     CompressionJob,
     CompressionReport,
@@ -64,7 +63,7 @@ from .pipeline import (
     run,
     sweep_lambda,
 )
-from .pool import Candidate, CandidateKind, CandidatePool, build_pool, param_count
+from .pool import CandidatePool, build_pool, param_count
 from .rpca import (
     NonConvergenceError,
     RpcaConfig,

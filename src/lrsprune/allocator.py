@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PROB_CLIP = 1e-6  # sampling/gradient clearance from the hard 0/1 boundary
+PROB_CLIP = 1e-6  # gradient clearance from the hard 0/1 boundary; sampling is exact
 CONSTRAINT_TOL = 1e-10  # absolute bisection tolerance on the budget constraint
 
 
@@ -164,38 +164,20 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     return np.clip(s - nu * c, 0.0, 1.0)
 
 
-def finalize_masks(state: RetentionState) -> np.ndarray:
-    """Deterministic hard selection under the budget.
-
-    Candidates are visited in descending-probability order (ties keep pool
-    order) and retained whenever their cost still fits. The result always
-    satisfies the hard budget.
-    """
-    order = np.argsort(-state.probs, kind="stable")
-    mask = np.zeros(state.probs.size, dtype=np.int8)
-    remaining = float(state.budget)
-    for k in order:
-        if state.costs[k] <= remaining:
+def greedy_fill(keys, costs, budget) -> np.ndarray:
+    """Hard selection under the budget: candidates are visited by descending
+    key (ties keep pool order) and kept whenever their cost still fits."""
+    costs = np.asarray(costs, dtype=np.float64)
+    mask = np.zeros(costs.size, dtype=np.int8)
+    remaining = float(budget)
+    for k in np.argsort(-np.asarray(keys), kind="stable"):
+        if costs[k] <= remaining:
             mask[k] = 1
-            remaining -= float(state.costs[k])
+            remaining -= float(costs[k])
     return mask
 
 
-def exact_expected_loss_grad(probs, loss_fn) -> np.ndarray:
-    """Exact gradient of E[loss(mask)] for independent Bernoulli bits.
-
-    Enumerates all 2^n masks; n is capped at 16.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    n = int(probs.size)
-    if n > 16:
-        raise ValueError("exact enumeration is capped at 16 candidates")
-    grad = np.zeros(n)
-    for code in range(2**n):
-        bits = np.fromiter(((code >> k) & 1 for k in range(n)), dtype=np.int8, count=n)
-        weights = np.where(bits == 1, probs, 1.0 - probs)
-        loss = float(loss_fn(bits))
-        for k in range(n):
-            others = float(np.prod(np.delete(weights, k)))
-            grad[k] += loss * others * (1.0 if bits[k] else -1.0)
-    return grad
+def finalize_masks(state: RetentionState) -> np.ndarray:
+    """Deterministic hard selection under the budget: ``greedy_fill`` keyed by
+    the retention probabilities. The result always satisfies the hard budget."""
+    return greedy_fill(state.probs, state.costs, state.budget)

@@ -102,21 +102,30 @@ def gen_calibration(
     return CalibrationSet(inputs=x, targets=y)
 
 
+def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:
+    """Mean over records of the squared output error of a weight stack."""
+    diff = _forward(weights, activation, calib.inputs) - calib.targets
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error."""
-    diff = model.forward(calib.inputs) - calib.targets
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return _task_loss(model.layers, model.activation, calib)
+
+
+def _split(pool: CandidatePool, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-triplet and kept-entry flags of a mask over the pool."""
+    mask = np.asarray(mask)
+    if mask.shape != (pool.size,):
+        raise ValueError(f"mask length {mask.shape} does not match pool size {pool.size}")
+    t = pool.n_triplets
+    return mask[:t] != 0, mask[t:] != 0
 
 
 def reconstruct(pool: CandidatePool, mask) -> np.ndarray:
     """Dense weight rebuilt from the retained candidates:
     sum of kept singular triplets plus kept sparse entries."""
-    mask = np.asarray(mask)
-    if mask.shape != (pool.size,):
-        raise ValueError(f"mask length {mask.shape} does not match pool size {pool.size}")
-    t = pool.n_triplets
-    keep_t = mask[:t] != 0
-    keep_e = mask[t:] != 0
+    keep_t, keep_e = _split(pool, mask)
     out = np.zeros((pool.rows, pool.cols))
     if keep_t.any():
         cols = pool.triplet_index[keep_t]
@@ -148,12 +157,7 @@ class CompressedLayer:
 
 def factorize(pool: CandidatePool, mask) -> CompressedLayer:
     """Split the retained triplets into balanced factors via sqrt(sigma)."""
-    mask = np.asarray(mask)
-    if mask.shape != (pool.size,):
-        raise ValueError(f"mask length {mask.shape} does not match pool size {pool.size}")
-    t = pool.n_triplets
-    keep_t = mask[:t] != 0
-    keep_e = mask[t:] != 0
+    keep_t, keep_e = _split(pool, mask)
     cols = pool.triplet_index[keep_t]
     root = np.sqrt(pool.triplet_sigma[keep_t])
     u_prime = np.ascontiguousarray(pool.svd.u[:, cols] * root)
@@ -183,8 +187,7 @@ def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> flo
         if not 0 <= idx < len(weights):
             raise ValueError(f"layer index {idx} out of range")
         weights[idx] = reconstruct(pool, masks[idx])
-    diff = _forward(weights, model.activation, calib.inputs) - calib.targets
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return _task_loss(weights, model.activation, calib)
 
 
 def planted_matrix(

@@ -18,10 +18,20 @@ ENUMERATION_CAP = 16
 
 def _costs_of(pool) -> np.ndarray:
     if isinstance(pool, CandidatePool):
-        return pool.costs()
+        return pool.costs
     if isinstance(pool, (list, tuple)) and pool and isinstance(pool[0], CandidatePool):
-        return np.concatenate([p.costs() for p in pool])
+        return np.concatenate([p.costs for p in pool])
     return np.asarray(pool, dtype=np.float64)
+
+
+def _all_masks(n: int, cap: int = ENUMERATION_CAP):
+    """All 2^n masks over n <= cap candidates; bit k of the code is candidate k."""
+    if n > cap:
+        raise ValueError(f"enumeration is capped at {cap} candidates, got {n}")
+    return (
+        np.fromiter(((code >> k) & 1 for k in range(n)), dtype=np.int8, count=n)
+        for code in range(2**n)
+    )
 
 
 @dataclass
@@ -41,16 +51,14 @@ def brute_force_best_mask(pool, budget, loss_fn) -> OracleResult:
     """
     costs = _costs_of(pool)
     n = int(costs.size)
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force is capped at {BRUTE_FORCE_CAP} candidates, got {n}")
+    masks = _all_masks(n, BRUTE_FORCE_CAP)
     if budget < 0:
         raise ValueError("budget must be non-negative")
 
     best_mask = None
     best_loss = np.inf
     feasible = 0
-    for code in range(2**n):
-        bits = np.fromiter(((code >> k) & 1 for k in range(n)), dtype=np.int8, count=n)
+    for bits in masks:
         if float(costs @ bits) > budget:
             continue
         feasible += 1
@@ -67,16 +75,27 @@ def brute_force_best_mask(pool, budget, loss_fn) -> OracleResult:
 def exact_expected_loss(probs, loss_fn) -> float:
     """E[loss(mask)] under independent Bernoulli bits, by full enumeration."""
     probs = np.asarray(probs, dtype=np.float64)
-    n = int(probs.size)
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration is capped at {ENUMERATION_CAP} candidates, got {n}")
+    masks = _all_masks(probs.size)
     if np.any((probs < 0.0) | (probs > 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     total = 0.0
-    for code in range(2**n):
-        bits = np.fromiter(((code >> k) & 1 for k in range(n)), dtype=np.int8, count=n)
+    for bits in masks:
         weight = float(np.prod(np.where(bits == 1, probs, 1.0 - probs)))
         if weight == 0.0:
             continue
         total += weight * float(loss_fn(bits))
     return total
+
+
+def exact_expected_loss_grad(probs, loss_fn) -> np.ndarray:
+    """Exact gradient of E[loss(mask)] for independent Bernoulli bits, by full enumeration."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n = int(probs.size)
+    grad = np.zeros(n)
+    for bits in _all_masks(n):
+        weights = np.where(bits == 1, probs, 1.0 - probs)
+        loss = float(loss_fn(bits))
+        for k in range(n):
+            others = float(np.prod(np.delete(weights, k)))
+            grad[k] += loss * others * (1.0 if bits[k] else -1.0)
+    return grad

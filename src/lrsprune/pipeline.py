@@ -17,18 +17,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import (
-    PROB_CLIP,
     MaskSample,
     PolicyGradientConfig,
     finalize_masks,
+    greedy_fill,
     init_state,
     reinforce_step,
+    sample_mask,
 )
 from .calibration import (
     CalibrationSet,
     CompressedLayer,
     ToyModel,
-    _forward,
+    _task_loss,
     default_toy_model,
     factorize,
     forward_loss,
@@ -119,11 +120,27 @@ def _selected(job: CompressionJob) -> list[int]:
     return job.layer_selection
 
 
+def _budget(job: CompressionJob, layers) -> int:
+    """floor(budget_fraction * dense parameter count of the given layers)."""
+    return int(np.floor(job.budget_fraction * sum(job.model.layers[i].size for i in layers)))
+
+
 def _stage1(job: CompressionJob):
     order = _selected(job)
     results = {i: decompose(job.model.layers[i], job.rpca_config) for i in order}
     pools = {i: build_pool(i, results[i].factors, results[i].s) for i in order}
     return order, results, pools
+
+
+def _slices(pools, order) -> dict[int, slice]:
+    """Span of each selected layer's candidates in the concatenated mask."""
+    ends = np.cumsum([0] + [pools[i].size for i in order])
+    return {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(order)}
+
+
+def _concat(arrays) -> np.ndarray:
+    """Per-layer arrays joined in mask order; empty when no layer is selected."""
+    return np.concatenate([np.zeros(0), *arrays])
 
 
 class _MaskedLossEvaluator:
@@ -138,12 +155,8 @@ class _MaskedLossEvaluator:
         self.calib = calib
         self.pools = pools
         self.weights = list(model.layers)
-        self.slices: dict[int, slice] = {}
-        off = 0
-        for i in order:
-            self.slices[i] = slice(off, off + pools[i].size)
-            off += pools[i].size
-        self.size = off
+        self.slices = _slices(pools, order)
+        self.costs = _concat(pools[i].costs for i in order)
         self._keys = {i: None for i in order}
 
     def loss(self, bits: np.ndarray) -> float:
@@ -153,40 +166,36 @@ class _MaskedLossEvaluator:
             if key != self._keys[i]:
                 self.weights[i] = reconstruct(self.pools[i], sub)
                 self._keys[i] = key
-        diff = _forward(self.weights, self.activation, self.calib.inputs) - self.calib.targets
-        return float(np.mean(np.sum(diff * diff, axis=1)))
+        return _task_loss(self.weights, self.activation, self.calib)
 
 
-def _learn_masks(evaluator, costs, budget, pg, rng, initial_prob, history):
-    """Shared optimization loop: sample, score, reinforce, finalize."""
-    state = init_state(costs, budget, initial_prob)
-    n = costs.size
-    steps = pg.iterations * evaluator.calib.size
-    for _ in range(steps):
-        p = np.clip(state.probs, PROB_CLIP, 1.0 - PROB_CLIP)
+def _learn_masks(evaluator, budget, job, rng, history):
+    """Shared optimization loop: sample, score, reinforce, finalize.
+
+    Returns (mask, budget_too_small); a budget below the cheapest candidate
+    keeps nothing, and is too small if the pool has any candidate.
+    """
+    costs = evaluator.costs
+    if costs.size == 0 or budget < costs.min():
+        return np.zeros(costs.size, dtype=np.int8), costs.size > 0
+    pg = job.pg_config
+    state = init_state(costs, budget, job.initial_prob)
+    for _ in range(pg.iterations * evaluator.calib.size):
         samples = []
         for _ in range(pg.samples_per_step):
-            bits = (rng.random(n) < p).astype(np.int8)
+            bits = sample_mask(state, rng)
             loss = evaluator.loss(bits)
             history.append(loss)
             samples.append(MaskSample(bits=bits, loss=loss))
         reinforce_step(state, samples, pg)
-    return finalize_masks(state)
+    return finalize_masks(state), False
 
 
 def _allocate_global(job, pools, order, budget, rng, history):
-    costs = (
-        np.concatenate([pools[i].costs() for i in order])
-        if order
-        else np.zeros(0, dtype=np.float64)
-    )
-    if costs.size == 0 or budget < float(costs.min()):
-        masks = {i: np.zeros(pools[i].size, dtype=np.int8) for i in order}
-        return masks, costs.size > 0
     evaluator = _MaskedLossEvaluator(job.model, job.calib, pools, order)
-    final = _learn_masks(evaluator, costs, budget, job.pg_config, rng, job.initial_prob, history)
-    masks = {i: final[evaluator.slices[i]].copy() for i in order}
-    return masks, False
+    final, too_small = _learn_masks(evaluator, budget, job, rng, history)
+    masks = {i: final[sl].copy() for i, sl in evaluator.slices.items()}
+    return masks, too_small
 
 
 def _allocate_sequential(job, pools, order, rng, history):
@@ -195,17 +204,10 @@ def _allocate_sequential(job, pools, order, rng, history):
     too_small = False
     for i in order:
         pool = pools[i]
-        layer_budget = int(np.floor(job.budget_fraction * job.model.layers[i].size))
-        costs = pool.costs()
-        if costs.size == 0 or layer_budget < float(costs.min()):
-            masks[i] = np.zeros(pool.size, dtype=np.int8)
-            too_small = too_small or costs.size > 0
-        else:
-            stage_model = ToyModel(layers=list(weights), activation=job.model.activation)
-            evaluator = _MaskedLossEvaluator(stage_model, job.calib, {i: pool}, [i])
-            masks[i] = _learn_masks(
-                evaluator, costs, layer_budget, job.pg_config, rng, job.initial_prob, history
-            )
+        stage_model = ToyModel(layers=list(weights), activation=job.model.activation)
+        evaluator = _MaskedLossEvaluator(stage_model, job.calib, {i: pool}, [i])
+        masks[i], small = _learn_masks(evaluator, _budget(job, [i]), job, rng, history)
+        too_small = too_small or small
         weights[i] = reconstruct(pool, masks[i])
     return masks, too_small
 
@@ -259,14 +261,11 @@ def run(job: CompressionJob):
     rng = np.random.default_rng(job.pg_config.seed)
     history: list[float] = []
     if job.mode == "global":
-        dense_total = sum(job.model.layers[i].size for i in order)
-        budget = int(np.floor(job.budget_fraction * dense_total))
+        budget = _budget(job, order)
         masks, too_small = _allocate_global(job, pools, order, budget, rng, history)
     else:
         masks, too_small = _allocate_sequential(job, pools, order, rng, history)
-        budget = sum(
-            int(np.floor(job.budget_fraction * job.model.layers[i].size)) for i in order
-        )
+        budget = sum(_budget(job, [i]) for i in order)
     return _make_report(job, order, results, pools, masks, budget, history, too_small)
 
 
@@ -274,40 +273,28 @@ def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
     """Magnitude-ranked hard selection at the same budget, no learning.
 
     Candidates are visited by descending magnitude (singular value for
-    triplets, absolute value for sparse entries) under the same greedy cost
-    accounting as the learned selection. ``components`` restricts
+    triplets, absolute value for sparse entries) by the same greedy fill as
+    the learned selection's final pass. ``components`` restricts
     eligibility to one candidate family: "both", "low_rank_only" or
     "sparse_only".
     """
     if components not in COMPONENT_CHOICES:
         raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
     order, results, pools = _stage1(job)
-    dense_total = sum(job.model.layers[i].size for i in order)
-    budget = int(np.floor(job.budget_fraction * dense_total))
-
-    mags, costs, eligible, slices = [], [], [], {}
-    off = 0
-    for i in order:
-        pool = pools[i]
-        for c in pool.candidates:
-            mags.append(c.magnitude)
-            costs.append(float(c.cost))
-            if components == "low_rank_only":
-                eligible.append(c.kind.value == "singular_triplet")
-            elif components == "sparse_only":
-                eligible.append(c.kind.value == "sparse_entry")
-            else:
-                eligible.append(True)
-        slices[i] = slice(off, off + pool.size)
-        off += pool.size
-
-    mask = np.zeros(off, dtype=np.int8)
-    remaining = float(budget)
-    for k in np.argsort(-np.asarray(mags), kind="stable"):
-        if eligible[k] and costs[k] <= remaining:
-            mask[k] = 1
-            remaining -= costs[k]
-    masks = {i: mask[slices[i]].copy() for i in order}
+    budget = _budget(job, order)
+    slices = _slices(pools, order)
+    costs = _concat(pools[i].costs for i in order)
+    eligible = np.ones(costs.size, dtype=bool)
+    if components != "both":
+        triplet = np.zeros(costs.size, dtype=bool)
+        for i, sl in slices.items():
+            triplet[sl.start : sl.start + pools[i].n_triplets] = True
+        eligible = triplet if components == "low_rank_only" else ~triplet
+    sub = np.flatnonzero(eligible)
+    mask = np.zeros(costs.size, dtype=np.int8)
+    mags = _concat(pools[i].magnitudes for i in order)
+    mask[sub] = greedy_fill(mags[sub], costs[sub], budget)
+    masks = {i: mask[sl].copy() for i, sl in slices.items()}
     return _make_report(job, order, results, pools, masks, budget, [], False)
 
 

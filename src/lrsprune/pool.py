@@ -5,15 +5,19 @@ the sparse part is an independently prunable candidate. Keeping a triplet of
 an m x n layer stores one column of U and one of V, so it costs m + n
 parameters; a sparse entry costs 1.
 
-Candidate order is deterministic: triplets by descending singular value,
-then sparse entries by descending magnitude with (row, col) breaking ties.
-Masks over a pool index into ``candidates`` in exactly this order.
+A pool is a set of flat arrays in one deterministic candidate order:
+triplets by descending singular value, then sparse entries by descending
+magnitude with (row, col) breaking ties. ``costs`` and ``magnitudes`` (sigma
+for a triplet, |value| for an entry) span the whole order; a mask over the
+pool has one bit per position. With ``t = n_triplets``, position ``k < t``
+is the triplet in column ``triplet_index[k]`` of ``svd.u`` / ``svd.v`` with
+singular value ``triplet_sigma[k]``, and position ``k >= t`` is the entry at
+``(entry_rows[k - t], entry_cols[k - t])`` with value ``entry_values[k - t]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -22,45 +26,28 @@ from .linalg import SvdFactorization, as_matrix
 SIGMA_CUTOFF = 1e-12  # triplets with sigma <= SIGMA_CUTOFF * sigma_1 are dropped
 
 
-class CandidateKind(Enum):
-    SINGULAR_TRIPLET = "singular_triplet"
-    SPARSE_ENTRY = "sparse_entry"
-
-
-@dataclass
-class Candidate:
-    kind: CandidateKind
-    index: int | tuple[int, int]  # triplet position, or (row, col) of the entry
-    magnitude: float  # sigma_i, or |value| for an entry
-    cost: int
-
-
 @dataclass
 class CandidatePool:
     layer_id: int | str
     rows: int
     cols: int
     svd: SvdFactorization  # factorization of the low-rank part
-    sparse_entries: list[tuple[int, int, float]]  # in candidate order
-    candidates: list[Candidate]
     total_cost: int
-    # flat views used by reconstruction; aligned with candidate order
-    triplet_index: np.ndarray = field(repr=False, default=None)
-    triplet_sigma: np.ndarray = field(repr=False, default=None)
-    entry_rows: np.ndarray = field(repr=False, default=None)
-    entry_cols: np.ndarray = field(repr=False, default=None)
-    entry_values: np.ndarray = field(repr=False, default=None)
+    costs: np.ndarray = field(repr=False)  # float64, one per candidate
+    magnitudes: np.ndarray = field(repr=False)
+    triplet_index: np.ndarray = field(repr=False)
+    triplet_sigma: np.ndarray = field(repr=False)
+    entry_rows: np.ndarray = field(repr=False)
+    entry_cols: np.ndarray = field(repr=False)
+    entry_values: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.candidates)
+        return int(self.costs.size)
 
     @property
     def n_triplets(self) -> int:
         return int(self.triplet_index.size)
-
-    def costs(self) -> np.ndarray:
-        return np.array([c.cost for c in self.candidates], dtype=np.float64)
 
 
 def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
@@ -78,31 +65,24 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
         keep = np.flatnonzero(f.sigma > SIGMA_CUTOFF * f.sigma[0])
     else:
         keep = np.array([], dtype=np.intp)
-    triplet_cost = rows + cols
-    candidates = [
-        Candidate(CandidateKind.SINGULAR_TRIPLET, int(i), float(f.sigma[i]), triplet_cost)
-        for i in keep
-    ]
+    sigma = np.ascontiguousarray(f.sigma[keep])
 
     rr, cc = np.nonzero(s)
     vals = s[rr, cc]
     order = np.lexsort((cc, rr, -np.abs(vals)))
     rr, cc, vals = rr[order], cc[order], vals[order]
-    entries = [(int(r), int(c), float(v)) for r, c, v in zip(rr, cc, vals)]
-    candidates += [
-        Candidate(CandidateKind.SPARSE_ENTRY, (r, c), abs(v), 1) for r, c, v in entries
-    ]
 
+    costs = np.concatenate([np.full(keep.size, float(rows + cols)), np.ones(vals.size)])
     return CandidatePool(
         layer_id=layer_id,
         rows=rows,
         cols=cols,
         svd=f,
-        sparse_entries=entries,
-        candidates=candidates,
-        total_cost=triplet_cost * len(keep) + len(entries),
+        total_cost=(rows + cols) * keep.size + vals.size,
+        costs=costs,
+        magnitudes=np.concatenate([sigma, np.abs(vals)]),
         triplet_index=keep,
-        triplet_sigma=np.ascontiguousarray(f.sigma[keep]),
+        triplet_sigma=sigma,
         entry_rows=rr,
         entry_cols=cc,
         entry_values=np.ascontiguousarray(vals),
@@ -114,5 +94,4 @@ def param_count(pool: CandidatePool, mask) -> int:
     mask = np.asarray(mask)
     if mask.shape != (pool.size,):
         raise ValueError(f"mask length {mask.shape} does not match pool size {pool.size}")
-    costs = np.array([c.cost for c in pool.candidates], dtype=np.int64)
-    return int(costs @ (mask != 0))
+    return int(pool.costs @ (mask != 0))

@@ -12,7 +12,6 @@ from lrsprune.allocator import (
     MaskSample,
     PolicyGradientConfig,
     RetentionState,
-    exact_expected_loss_grad,
     finalize_masks,
     init_state,
     log_prob_grad,
@@ -20,7 +19,7 @@ from lrsprune.allocator import (
     reinforce_step,
     sample_mask,
 )
-from lrsprune.oracle import exact_expected_loss
+from lrsprune.oracle import exact_expected_loss, exact_expected_loss_grad
 
 
 def projection_oracle(s, c, budget):

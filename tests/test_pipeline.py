@@ -129,19 +129,62 @@ class TestFullBudget:
 
 
 class TestBudgetTooSmall:
-    def test_triplet_only_pool_below_cheapest(self, rng):
+    def check_triplet_only_pool_below_cheapest(self, rng, mode):
         model = planted_model([(24, 16)], rng, ranks=[1], outlier_frac=0.0)
         calib = gen_calibration(model, 16, 0.0, rng)
-        job = CompressionJob(model=model, calib=calib, budget_fraction=0.02)
+        job = CompressionJob(model=model, calib=calib, budget_fraction=0.02, mode=mode)
         report, compressed = run(job)
         # budget 7 cannot afford the only candidate kind (cost 40)
         assert report.budget == 7
         assert report.budget_too_small is True
         assert report.used_cost == 0
         assert report.rank_distribution == [0]
+        assert report.history == []
         np.testing.assert_array_equal(compressed[0].mask, 0)
         expected = float(np.mean(np.sum(calib.targets**2, axis=1)))
         assert report.final_loss == pytest.approx(expected, rel=1e-12)
+
+    def test_triplet_only_pool_below_cheapest(self, rng):
+        self.check_triplet_only_pool_below_cheapest(rng, "global")
+
+    def test_sequential_triplet_only_pool_below_cheapest(self, rng):
+        self.check_triplet_only_pool_below_cheapest(rng, "sequential")
+
+
+def reference_threshold_masks(job, components):
+    """The magnitude threshold written one candidate object at a time: every
+    triplet and sparse entry of every layer in pool order, visited by
+    descending magnitude (stable on ties), kept if its family is eligible
+    and its cost fits what is left of the global budget. Also returns the
+    cost of every candidate together."""
+    candidates, masks = [], {}
+    for i, w in enumerate(job.model.layers):
+        res = decompose(w, job.rpca_config)
+        pool = build_pool(i, res.factors, res.s)
+        masks[i] = np.zeros(pool.size, dtype=np.int8)
+        for k, sigma in enumerate(pool.triplet_sigma):
+            candidates.append((i, k, "low_rank_only", float(sigma), pool.rows + pool.cols))
+        for k, value in enumerate(pool.entry_values):
+            candidates.append((i, pool.n_triplets + k, "sparse_only", abs(float(value)), 1))
+    remaining = float(np.floor(job.budget_fraction * job.model.dense_params))
+    for layer, pos, family, _, cost in sorted(candidates, key=lambda c: -c[3]):
+        if components in ("both", family) and cost <= remaining:
+            masks[layer][pos] = 1
+            remaining -= cost
+    return masks, sum(c[4] for c in candidates)
+
+
+class TestThresholdBaselineReference:
+    @pytest.mark.parametrize("fraction", [0.1, 0.15])
+    @pytest.mark.parametrize("components", ["both", "low_rank_only", "sparse_only"])
+    def test_masks_match_per_candidate_greedy(self, fraction, components):
+        job = default_job(budget_fraction=fraction)
+        report, compressed = heuristic_threshold_baseline(job, components)
+        expected, pool_cost = reference_threshold_masks(job, components)
+        assert sorted(compressed) == sorted(expected)
+        for i, mask in expected.items():
+            np.testing.assert_array_equal(compressed[i].mask, mask)
+        assert pool_cost > report.budget >= report.used_cost  # the budget binds
 
 
 class TestSequentialMode:

@@ -1,4 +1,4 @@
-"""Candidate enumeration: kinds, costs, deterministic ordering, recounts."""
+"""Candidate enumeration: families, costs, deterministic ordering, recounts."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lrsprune.calibration import factorize, planted_matrix, reconstruct
 from lrsprune.linalg import SvdFactorization, svd
-from lrsprune.pool import Candidate, CandidateKind, build_pool, param_count
+from lrsprune.pool import build_pool, param_count
 from lrsprune.rpca import decompose
 
 
@@ -30,32 +30,30 @@ class TestBuildPool:
         assert pool.size == 0
         assert pool.n_triplets == 0
         assert pool.total_cost == 0
-        assert pool.costs().shape == (0,)
+        assert pool.costs.shape == (0,)
 
     def test_rank2_with_seven_entries(self):
         l, s = rank2_plus_entries()
         pool = build_pool("layer", svd(l), s)
         assert pool.n_triplets == 2
         assert pool.size == 9
-        triplets = pool.candidates[:2]
-        entries = pool.candidates[2:]
-        assert all(c.kind is CandidateKind.SINGULAR_TRIPLET for c in triplets)
-        assert all(c.cost == 16 for c in triplets)
-        assert all(c.kind is CandidateKind.SPARSE_ENTRY for c in entries)
-        assert all(c.cost == 1 for c in entries)
+        assert pool.triplet_index.size == 2
+        assert all(c == 16 for c in pool.costs[:2])
+        assert pool.entry_values.size == 7
+        assert all(c == 1 for c in pool.costs[2:])
         assert pool.total_cost == 2 * 16 + 7 == 39
 
     def test_triplets_sorted_by_descending_sigma(self):
         l, s = rank2_plus_entries()
         pool = build_pool(0, svd(l), s)
-        sig = [c.magnitude for c in pool.candidates[: pool.n_triplets]]
+        sig = list(pool.magnitudes[: pool.n_triplets])
         assert sig == sorted(sig, reverse=True)
         np.testing.assert_allclose(sig, [5.0, 2.0], rtol=1e-12)
 
     def test_entries_sorted_by_descending_magnitude(self):
         l, s = rank2_plus_entries()
         pool = build_pool(0, svd(l), s)
-        mags = [c.magnitude for c in pool.candidates[pool.n_triplets :]]
+        mags = list(pool.magnitudes[pool.n_triplets :])
         assert mags == sorted(mags, reverse=True)
         assert mags[0] == 10.0 and mags[-1] == 4.0
 
@@ -65,7 +63,7 @@ class TestBuildPool:
         s[0, 5] = -2.0
         s[0, 2] = 2.0
         pool = build_pool(0, svd(np.zeros((3, 6))), s)
-        assert [c.index for c in pool.candidates] == [(0, 2), (0, 5), (1, 3)]
+        assert list(zip(pool.entry_rows, pool.entry_cols)) == [(0, 2), (0, 5), (1, 3)]
 
     def test_recounts_match_decomposition_diagnostics(self, rng):
         w, _, _ = planted_matrix(30, 20, 2, rng)
@@ -83,7 +81,8 @@ class TestBuildPool:
     def test_deterministic(self):
         l, s = rank2_plus_entries()
         p1, p2 = build_pool(0, svd(l), s), build_pool(0, svd(l), s)
-        assert p1.candidates == p2.candidates
+        for name in ("costs", "magnitudes", "triplet_index", "entry_rows", "entry_cols"):
+            assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
         assert p1.entry_values.tobytes() == p2.entry_values.tobytes()
         assert p1.triplet_sigma.tobytes() == p2.triplet_sigma.tobytes()
 
@@ -156,11 +155,5 @@ class TestParamCount:
         l, s = rank2_plus_entries()
         pool = build_pool(0, svd(l), s)
         mask = np.array(bits)
-        assert param_count(pool, mask) == int(pool.costs() @ mask)
+        assert param_count(pool, mask) == int(pool.costs @ mask)
 
-
-def test_candidate_dataclass_fields():
-    c = Candidate(CandidateKind.SPARSE_ENTRY, (2, 3), 1.5, 1)
-    assert c.index == (2, 3)
-    assert c.magnitude == 1.5
-    assert c.cost == 1
