@@ -37,15 +37,12 @@ from .linalg import (
     SvdFactorization,
     as_matrix,
     frobenius_norm,
-    l1_norm,
-    matmul,
-    nuclear_norm,
     spectral_norm,
     svd,
 )
 from .matio import (
     ConfigError,
-    JobSettings,
+    JobConfig,
     MatrixFormatError,
     load_job_config,
     parse_job_config,
@@ -58,6 +55,7 @@ from .pipeline import (
     CompressionReport,
     LayerSummary,
     SweepRow,
+    ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
     run,
@@ -73,7 +71,6 @@ from .rpca import (
     soft_threshold,
     svt,
     svt_shrink,
-    update_l,
     update_s,
 )
 

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .allocator import PolicyGradientConfig
 from .calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
 from .matio import (
     ConfigError,
-    JobSettings,
+    JobConfig,
     MatrixFormatError,
     format_matrix_text,
     load_job_config,
@@ -32,8 +32,8 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .pipeline import CompressionJob, heuristic_threshold_baseline, run, sweep_lambda
-from .rpca import NonConvergenceError, RpcaConfig, decompose
+from .pipeline import CompressionJob, ablate_threshold, run, sweep_lambda
+from .rpca import NonConvergenceError, decompose
 
 
 def _fmt(x: float) -> str:
@@ -61,49 +61,28 @@ def format_report(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_settings(args) -> JobSettings:
-    if args.config is not None:
-        settings = load_job_config(args.config)
-    else:
-        settings = parse_job_config("")
-    if getattr(args, "seed", None) is not None:
-        settings.model_seed = args.seed
-        settings.pg_seed = args.seed
-    return settings
+def _load_config(args) -> JobConfig:
+    config = load_job_config(args.config) if args.config is not None else parse_job_config("")
+    if getattr(args, "seed", None) is None:
+        return config
+    return replace(config, model_seed=args.seed, pg=replace(config.pg, seed=args.seed))
 
 
-def _rpca_config(settings: JobSettings) -> RpcaConfig:
-    return RpcaConfig(
-        lam=settings.rpca_lambda,
-        tol=settings.rpca_tol,
-        max_iters=settings.rpca_max_iters,
-    )
-
-
-def _job(settings: JobSettings, model: ToyModel, calib: CalibrationSet) -> CompressionJob:
-    pg = PolicyGradientConfig(
-        learning_rate=settings.pg_lr,
-        baseline_beta=settings.pg_beta,
-        iterations=settings.pg_iterations,
-        window=settings.pg_window,
-        samples_per_step=settings.pg_samples,
-        seed=settings.pg_seed,
-    )
+def _job(config: JobConfig, model: ToyModel, calib: CalibrationSet) -> CompressionJob:
     return CompressionJob(
         model=model,
         calib=calib,
-        rpca_config=_rpca_config(settings),
-        pg_config=pg,
-        budget_fraction=settings.budget_fraction,
-        mode=settings.mode,
+        rpca_config=config.rpca,
+        pg_config=config.pg,
+        budget_fraction=config.budget_fraction,
+        mode=config.mode,
     )
 
 
-def _synthetic_job(settings: JobSettings) -> CompressionJob:
-    rng = np.random.default_rng(settings.model_seed)
-    model = planted_model(settings.shapes, rng)
-    calib = gen_calibration(model, settings.calib_n, settings.calib_noise, rng)
-    return _job(settings, model, calib)
+def _synthetic(config: JobConfig) -> tuple[ToyModel, CalibrationSet]:
+    rng = np.random.default_rng(config.model_seed)
+    model = planted_model(config.shapes, rng)
+    return model, gen_calibration(model, config.calib_n, config.calib_noise, rng)
 
 
 def _say(args, text: str) -> None:
@@ -112,12 +91,9 @@ def _say(args, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    settings = _load_settings(args)
+    model, calib = _synthetic(_load_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(settings.model_seed)
-    model = planted_model(settings.shapes, rng)
-    calib = gen_calibration(model, settings.calib_n, settings.calib_noise, rng)
     for i, w in enumerate(model.layers):
         path = out / f"layer{i}.weight.capm"
         write_matrix(path, w)
@@ -130,9 +106,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    settings = _load_settings(args)
+    config = _load_config(args)
     w = read_matrix(args.matrix)
-    result = decompose(w, _rpca_config(settings))
+    result = decompose(w, config.rpca)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.matrix).stem
@@ -164,9 +140,9 @@ def _read_model_dir(model_dir: Path) -> tuple[ToyModel, CalibrationSet]:
 
 
 def cmd_compress(args) -> int:
-    settings = _load_settings(args)
+    config = _load_config(args)
     model, calib = _read_model_dir(Path(args.model_dir))
-    report, compressed = run(_job(settings, model, calib))
+    report, compressed = run(_job(config, model, calib))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in sorted(compressed):
@@ -187,67 +163,51 @@ def _parse_lambdas(text: str) -> list[float | None]:
     out: list[float | None] = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            continue
         if token == "auto":
             out.append(None)
-        else:
+        elif token:
             try:
-                value = float(token)
+                out.append(float(token))
             except ValueError as exc:
                 raise ConfigError(f"bad lambda {token!r}") from exc
-            if not value > 0:
-                raise ConfigError(f"lambda must be positive, got {token!r}")
-            out.append(value)
     if not out:
         raise ConfigError("need at least one lambda")
     return out
 
 
-def cmd_sweep_lambda(args) -> int:
-    settings = _load_settings(args)
-    lambdas = _parse_lambdas(args.lambdas)
-    rows = sweep_lambda(_synthetic_job(settings), lambdas)
-    lines = ["lambda\trank_l\tsparsity_s\tfinal_loss"]
-    for token, row in zip(args.lambdas.split(","), rows):
-        label = token.strip() if token.strip() == "auto" else _fmt(row.lam)
-        lines.append(
-            f"{label}\t{_fmt(row.mean_rank_l)}\t{_fmt(row.mean_sparsity_s)}\t"
-            f"{_fmt(row.final_loss)}"
-        )
+def _write_table(args, lines: list[str], name: str) -> None:
     table = "\n".join(lines) + "\n"
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.tsv").write_text(table)
+        (out / name).write_text(table)
     _say(args, table.rstrip("\n"))
+
+
+def cmd_sweep_lambda(args) -> int:
+    config = _load_config(args)
+    lambdas = _parse_lambdas(args.lambdas)
+    rows = sweep_lambda(_job(config, *_synthetic(config)), lambdas)
+    lines = ["lambda\trank_l\tsparsity_s\tfinal_loss\ttotal_nnz_s"]
+    for row in rows:
+        label = "auto" if row.lam is None else _fmt(row.lam)
+        lines.append(
+            f"{label}\t{_fmt(row.mean_rank_l)}\t{_fmt(row.mean_sparsity_s)}\t"
+            f"{_fmt(row.final_loss)}\t{row.total_nnz_s}"
+        )
+    _write_table(args, lines, "sweep.tsv")
     return 0
 
 
 def cmd_ablate_threshold(args) -> int:
-    settings = _load_settings(args)
-    job = _synthetic_job(settings)
-    learned, _ = run(job)
-    rows = [("learned", learned)]
-    for variant, components in (
-        ("threshold", "both"),
-        ("low_rank_only", "low_rank_only"),
-        ("sparse_only", "sparse_only"),
-    ):
-        report, _ = heuristic_threshold_baseline(job, components=components)
-        rows.append((variant, report))
+    config = _load_config(args)
     lines = ["fraction\tvariant\tfinal_loss\tused_cost"]
-    for variant, report in rows:
+    for variant, report in ablate_threshold(_job(config, *_synthetic(config))):
         lines.append(
-            f"{_fmt(settings.budget_fraction)}\t{variant}\t"
+            f"{_fmt(config.budget_fraction)}\t{variant}\t"
             f"{_fmt(report.final_loss)}\t{report.used_cost}"
         )
-    table = "\n".join(lines) + "\n"
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ablation.tsv").write_text(table)
-    _say(args, table.rstrip("\n"))
+    _write_table(args, lines, "ablation.tsv")
     return 0
 
 

@@ -68,25 +68,6 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def l1_norm(a) -> float:
-    """Entrywise sum of absolute values (not the induced 1-norm)."""
-    return float(np.abs(as_matrix(a)).sum())
-
-
-def nuclear_norm(a) -> float:
-    """Sum of singular values."""
-    return float(svd(a).sigma.sum())
-
-
-def matmul(a, b) -> np.ndarray:
-    """Dense product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def spectral_norm(a) -> float:
     """Largest singular value; 0 for a zero-size or all-zero matrix."""
     m = as_matrix(a)

@@ -11,18 +11,23 @@ Matrix container layout, all little-endian:
 Writing then reading reproduces the payload bit for bit.
 
 Job configuration files are flat ``key = value`` lines; ``#`` starts a
-comment, blank lines are skipped, unknown keys are rejected.
+comment, blank lines are skipped, unknown keys are rejected. Parsing builds
+the ``RpcaConfig`` and ``PolicyGradientConfig`` directly, so each value is
+range-checked once, by the object that consumes it.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .allocator import PolicyGradientConfig
 from .linalg import as_matrix
+from .rpca import RpcaConfig
 
 MAGIC = b"CAPM"
 VERSION = 1
@@ -94,21 +99,17 @@ CONFIG_DEFAULTS: dict[str, str] = {
 }
 
 
-@dataclass
-class JobSettings:
+@dataclass(frozen=True)
+class JobConfig:
+    """A parsed job: the synthetic-model recipe, the budget and mode, and the
+    solver configurations, each already range-checked by its own class."""
+
     model_seed: int
     shapes: list[tuple[int, int]]
     calib_n: int
     calib_noise: float
-    rpca_lambda: float | None  # None = per-layer default
-    rpca_tol: float
-    rpca_max_iters: int
-    pg_lr: float
-    pg_beta: float
-    pg_iterations: int
-    pg_window: int
-    pg_samples: int
-    pg_seed: int
+    rpca: RpcaConfig
+    pg: PolicyGradientConfig
     budget_fraction: float
     mode: str
 
@@ -132,18 +133,28 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
     return shapes
 
 
-def _typed(key: str, value: str, kind, positive: bool = False):
+def _typed(raw: dict[str, str], key: str, kind):
     try:
-        out = kind(value)
+        return kind(raw[key])
     except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {value!r}") from exc
-    if positive and not out > 0:
-        raise ConfigError(f"{key}: must be positive, got {value!r}")
-    return out
+        raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from exc
 
 
-def parse_job_config(text: str) -> JobSettings:
-    """Parse configuration text over the documented defaults."""
+@contextmanager
+def _section(name: str):
+    """Range errors of the configuration built inside surface as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def parse_job_config(text: str) -> JobConfig:
+    """Parse configuration text over the documented defaults.
+
+    ``RpcaConfig`` and ``PolicyGradientConfig`` range-check their own keys;
+    the recipe, budget and mode keys are checked here.
+    """
     raw = dict(CONFIG_DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -159,39 +170,45 @@ def parse_job_config(text: str) -> JobSettings:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         raw[key] = value
 
-    lam_text = raw["rpca.lambda"]
-    rpca_lambda = None if lam_text == "auto" else _typed("rpca.lambda", lam_text, float, True)
     mode = raw["mode"]
     if mode not in ("global", "sequential"):
         raise ConfigError(f"mode: expected global or sequential, got {mode!r}")
-    fraction = _typed("budget.fraction", raw["budget.fraction"], float)
+    fraction = _typed(raw, "budget.fraction", float)
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"budget.fraction: must lie in (0, 1], got {fraction}")
-    noise = _typed("calib.noise", raw["calib.noise"], float)
+    noise = _typed(raw, "calib.noise", float)
     if noise < 0:
         raise ConfigError(f"calib.noise: must be non-negative, got {noise}")
-    beta = _typed("pg.beta", raw["pg.beta"], float)
-    if not 0.0 <= beta < 1.0:
-        raise ConfigError(f"pg.beta: must lie in [0, 1), got {beta}")
+    calib_n = _typed(raw, "calib.n", int)
+    if calib_n < 1:
+        raise ConfigError(f"calib.n: must be positive, got {calib_n}")
 
-    return JobSettings(
-        model_seed=_typed("model.seed", raw["model.seed"], int),
+    with _section("rpca"):
+        rpca = RpcaConfig(
+            lam=None if raw["rpca.lambda"] == "auto" else _typed(raw, "rpca.lambda", float),
+            tol=_typed(raw, "rpca.tol", float),
+            max_iters=_typed(raw, "rpca.max_iters", int),
+        )
+    with _section("pg"):
+        pg = PolicyGradientConfig(
+            learning_rate=_typed(raw, "pg.lr", float),
+            baseline_beta=_typed(raw, "pg.beta", float),
+            iterations=_typed(raw, "pg.iterations", int),
+            window=_typed(raw, "pg.window", int),
+            samples_per_step=_typed(raw, "pg.samples", int),
+            seed=_typed(raw, "pg.seed", int),
+        )
+    return JobConfig(
+        model_seed=_typed(raw, "model.seed", int),
         shapes=_parse_shapes(raw["model.shapes"]),
-        calib_n=_typed("calib.n", raw["calib.n"], int, True),
+        calib_n=calib_n,
         calib_noise=noise,
-        rpca_lambda=rpca_lambda,
-        rpca_tol=_typed("rpca.tol", raw["rpca.tol"], float, True),
-        rpca_max_iters=_typed("rpca.max_iters", raw["rpca.max_iters"], int, True),
-        pg_lr=_typed("pg.lr", raw["pg.lr"], float, True),
-        pg_beta=beta,
-        pg_iterations=_typed("pg.iterations", raw["pg.iterations"], int, True),
-        pg_window=_typed("pg.window", raw["pg.window"], int, True),
-        pg_samples=_typed("pg.samples", raw["pg.samples"], int, True),
-        pg_seed=_typed("pg.seed", raw["pg.seed"], int),
+        rpca=rpca,
+        pg=pg,
         budget_fraction=fraction,
         mode=mode,
     )
 
 
-def load_job_config(path) -> JobSettings:
+def load_job_config(path) -> JobConfig:
     return parse_job_config(Path(path).read_text())

@@ -8,6 +8,10 @@ top-probability selection and factorizes the survivors.
 
 A sequential mode optimizes layers one at a time instead, each against its
 own pro-rata budget with the earlier layers already compressed.
+
+Stage 1 fixes the low-rank and sparse spaces once per job; the learned
+selection and the magnitude-threshold baselines all search inside them, so
+``ablate_threshold`` computes it once for all four of its rows.
 """
 
 from __future__ import annotations
@@ -251,13 +255,8 @@ def _make_report(job, order, results, pools, masks, budget, history, too_small) 
     return report, compressed
 
 
-def run(job: CompressionJob):
-    """Compress the job's model.
-
-    Returns:
-        (CompressionReport, dict layer index -> CompressedLayer)
-    """
-    order, results, pools = _stage1(job)
+def _learned(job: CompressionJob, order, results, pools):
+    """Stage 2 learned selection over a computed Stage 1."""
     rng = np.random.default_rng(job.pg_config.seed)
     history: list[float] = []
     if job.mode == "global":
@@ -269,18 +268,8 @@ def run(job: CompressionJob):
     return _make_report(job, order, results, pools, masks, budget, history, too_small)
 
 
-def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
-    """Magnitude-ranked hard selection at the same budget, no learning.
-
-    Candidates are visited by descending magnitude (singular value for
-    triplets, absolute value for sparse entries) by the same greedy fill as
-    the learned selection's final pass. ``components`` restricts
-    eligibility to one candidate family: "both", "low_rank_only" or
-    "sparse_only".
-    """
-    if components not in COMPONENT_CHOICES:
-        raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
-    order, results, pools = _stage1(job)
+def _threshold(job: CompressionJob, order, results, pools, components: str):
+    """Magnitude-ranked greedy selection over a computed Stage 1."""
     budget = _budget(job, order)
     slices = _slices(pools, order)
     costs = _concat(pools[i].costs for i in order)
@@ -298,22 +287,62 @@ def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
     return _make_report(job, order, results, pools, masks, budget, [], False)
 
 
+def run(job: CompressionJob):
+    """Compress the job's model.
+
+    Returns:
+        (CompressionReport, dict layer index -> CompressedLayer)
+    """
+    return _learned(job, *_stage1(job))
+
+
+def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
+    """Magnitude-ranked hard selection at the same budget, no learning.
+
+    Candidates are visited by descending magnitude (singular value for
+    triplets, absolute value for sparse entries) by the same greedy fill as
+    the learned selection's final pass. ``components`` restricts
+    eligibility to one candidate family: "both", "low_rank_only" or
+    "sparse_only".
+    """
+    if components not in COMPONENT_CHOICES:
+        raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
+    return _threshold(job, *_stage1(job), components)
+
+
+def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:
+    """The learned selection and the three threshold baselines from one Stage 1.
+
+    Rows are ("learned", "threshold", "low_rank_only", "sparse_only"), each
+    report equal to its ``run`` or ``heuristic_threshold_baseline`` result.
+    """
+    stage1 = _stage1(job)
+    rows = [("learned", _learned(job, *stage1)[0])]
+    for variant, components in (
+        ("threshold", "both"),
+        ("low_rank_only", "low_rank_only"),
+        ("sparse_only", "sparse_only"),
+    ):
+        rows.append((variant, _threshold(job, *stage1, components)[0]))
+    return rows
+
+
 def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:
     """Full compression run per sparsity weight; None selects the default.
 
-    Each row aggregates the Stage 1 diagnostics over the selected layers
-    and carries the post-selection task loss.
+    Every weight is checked by ``RpcaConfig`` before the first run. Each
+    row aggregates the Stage 1 diagnostics over the selected layers and
+    carries the post-selection task loss.
     """
-    lambdas = list(lambdas)
-    if not lambdas:
+    configs = [replace(job.rpca_config, lam=lam) for lam in lambdas]
+    if not configs:
         raise ValueError("need at least one sparsity weight")
     rows = []
-    for lam in lambdas:
-        cfg = replace(job.rpca_config, lam=lam)
+    for cfg in configs:
         report, _ = run(replace(job, rpca_config=cfg))
         rows.append(
             SweepRow(
-                lam=lam,
+                lam=cfg.lam,
                 mean_rank_l=float(np.mean([ls.rank_l for ls in report.layers])),
                 mean_sparsity_s=float(np.mean([ls.sparsity_s for ls in report.layers])),
                 total_nnz_s=int(sum(ls.nnz_s for ls in report.layers)),

@@ -146,12 +146,6 @@ def svt(a, tau: float, k: int, rng: np.random.Generator | None) -> SvdFactorizat
     )
 
 
-def update_l(w, s, y, mu: float) -> np.ndarray:
-    """Low-rank step: SVT with threshold 1/mu applied to ``w - s + y/mu``."""
-    f = svt(w - s + y / mu, 1.0 / mu, min(np.shape(w)), None)
-    return (f.u * f.sigma) @ f.v.T
-
-
 def update_s(w, l, y, mu: float, lam: float) -> np.ndarray:
     """Sparse step: soft threshold lambda/mu applied to ``w - l + y/mu``."""
     return soft_threshold(w - l + y / mu, lam / mu)

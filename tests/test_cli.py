@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrsprune import pipeline
 from lrsprune.cli import format_report, main
 from lrsprune.matio import (
     CONFIG_DEFAULTS,
@@ -93,15 +94,15 @@ class TestJobConfig:
         assert s.shapes == [(32, 24), (24, 24), (24, 16)]
         assert s.calib_n == 128
         assert s.calib_noise == 0.0
-        assert s.rpca_lambda is None
-        assert s.rpca_tol == 1e-7
-        assert s.rpca_max_iters == 500
-        assert s.pg_lr == 0.05
-        assert s.pg_beta == 0.9
-        assert s.pg_iterations == 3
-        assert s.pg_window == 5
-        assert s.pg_samples == 1
-        assert s.pg_seed == 0
+        assert s.rpca.lam is None
+        assert s.rpca.tol == 1e-7
+        assert s.rpca.max_iters == 500
+        assert s.pg.learning_rate == 0.05
+        assert s.pg.baseline_beta == 0.9
+        assert s.pg.iterations == 3
+        assert s.pg.window == 5
+        assert s.pg.samples_per_step == 1
+        assert s.pg.seed == 0
         assert s.budget_fraction == 0.5
         assert s.mode == "global"
 
@@ -141,9 +142,22 @@ class TestJobConfig:
         with pytest.raises(ConfigError):
             parse_job_config("model.shapes = 8by6")
 
+    @pytest.mark.parametrize(
+        "line, section",
+        [
+            ("rpca.tol = 2", "rpca"),
+            ("rpca.max_iters = 0", "rpca"),
+            ("pg.beta = 1", "pg"),
+            ("pg.lr = 0", "pg"),
+        ],
+    )
+    def test_solver_ranges_checked_by_their_configs(self, line, section):
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            parse_job_config(line)
+
     def test_lambda_auto_and_numeric(self):
-        assert parse_job_config("rpca.lambda = auto").rpca_lambda is None
-        assert parse_job_config("rpca.lambda = 0.2").rpca_lambda == 0.2
+        assert parse_job_config("rpca.lambda = auto").rpca.lam is None
+        assert parse_job_config("rpca.lambda = 0.2").rpca.lam == 0.2
 
 
 TINY_CONFIG = "model.shapes = 12x8,8x6\ncalib.n = 16\n"
@@ -190,6 +204,14 @@ class TestGen:
         assert (other / "layer0.weight.capm").read_bytes() != (
             model_dir / "layer0.weight.capm"
         ).read_bytes()
+
+    def test_out_of_range_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + "rpca.tol = 2\n")
+        out = tmp_path / "model"
+        assert main(["gen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "rpca: tol must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecompose:
@@ -299,10 +321,20 @@ class TestSweepLambdaCommand:
         )
         assert code == 0
         table = (out / "sweep.tsv").read_text().splitlines()
-        assert table[0] == "lambda\trank_l\tsparsity_s\tfinal_loss"
+        assert table[0] == "lambda\trank_l\tsparsity_s\tfinal_loss\ttotal_nnz_s"
         assert len(table) == 4
         assert table[2].startswith("auto\t")
         assert capsys.readouterr().out.strip().splitlines()[0] == table[0]
+
+    @pytest.mark.parametrize(
+        "lambdas, labels", [(",auto", ["auto"]), ("0.1,,auto", ["0.1", "auto"])]
+    )
+    def test_empty_token_next_to_auto(self, tmp_path, tiny_config, lambdas, labels):
+        out = tmp_path / "sweep"
+        argv = ["sweep-lambda", "--lambdas", lambdas, "--config", str(tiny_config)]
+        assert main(argv + ["--out", str(out), "--quiet"]) == 0
+        table = (out / "sweep.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in table[1:]] == labels
 
     def test_empty_and_bad_lambda_lists(self, tiny_config):
         assert main(["sweep-lambda", "--lambdas", "", "--config", str(tiny_config)]) == 2
@@ -321,6 +353,21 @@ class TestAblateThresholdCommand:
         assert table[0] == "fraction\tvariant\tfinal_loss\tused_cost"
         variants = [line.split("\t")[1] for line in table[1:]]
         assert variants == ["learned", "threshold", "low_rank_only", "sparse_only"]
+
+    def test_stage1_once_per_layer(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "decompose", counting)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("budget.fraction = 0.15\nmode = sequential\n")
+        argv = ["ablate-threshold", "--config", str(cfg), "--quiet"]
+        assert main(argv) == 0
+        assert len(calls) == 3
 
     def test_full_budget_learned_equals_threshold(self, tmp_path):
         cfg = tmp_path / "full.cfg"

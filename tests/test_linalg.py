@@ -8,15 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrsprune.linalg import (
-    as_matrix,
-    frobenius_norm,
-    l1_norm,
-    matmul,
-    nuclear_norm,
-    spectral_norm,
-    svd,
-)
+from lrsprune.linalg import as_matrix, frobenius_norm, spectral_norm, svd
 
 small_dims = st.integers(min_value=1, max_value=12)
 finite_entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
@@ -114,61 +106,6 @@ class TestFrobeniusNorm:
         assert frobenius_norm(a) == pytest.approx(oracle, rel=1e-12)
 
 
-class TestL1Norm:
-    def test_zero(self):
-        assert l1_norm(np.zeros((2, 2))) == 0.0
-
-    def test_hand_value(self):
-        assert l1_norm([[1.0, -2.0], [3.0, -4.0]]) == 10.0
-
-    def test_against_scalar_sum(self, rng):
-        a = rng.standard_normal((5, 7))
-        oracle = sum(abs(float(x)) for x in a.ravel())
-        assert l1_norm(a) == pytest.approx(oracle, rel=1e-12)
-
-
-class TestNuclearNorm:
-    def test_diagonal(self):
-        assert nuclear_norm(np.diag([3.0, 2.0, 1.0])) == pytest.approx(6.0, abs=1e-12)
-
-    def test_rank_one_closed_form(self, rng):
-        x = rng.standard_normal(6)
-        y = rng.standard_normal(4)
-        a = np.outer(x, y)
-        oracle = np.linalg.norm(x) * np.linalg.norm(y)
-        assert nuclear_norm(a) == pytest.approx(oracle, rel=1e-10)
-
-    def test_against_gram_eigenvalues(self, rng):
-        a = rng.standard_normal((5, 4))
-        eig = np.linalg.eigvalsh(a.T @ a)
-        oracle = float(np.sqrt(np.clip(eig, 0.0, None)).sum())
-        assert nuclear_norm(a) == pytest.approx(oracle, rel=1e-8)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(matmul(np.eye(4), a), a)
-
-    def test_zero(self, rng):
-        a = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(matmul(a, np.zeros((6, 3))), np.zeros((4, 3)))
-
-    def test_inner_dimension_check(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_against_triple_loop(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        oracle = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    oracle[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), oracle, atol=1e-12)
-
-
 class TestSpectralNorm:
     def test_zero(self):
         assert spectral_norm(np.zeros((4, 3))) == 0.0
@@ -192,7 +129,7 @@ class TestSpectralNorm:
 @given(a=small_matrices())
 def test_norm_ordering(a):
     scale = max(1.0, frobenius_norm(a))
-    nuc, fro, top = nuclear_norm(a), frobenius_norm(a), spectral_norm(a)
+    nuc, fro, top = float(np.linalg.norm(a, "nuc")), frobenius_norm(a), spectral_norm(a)
     assert nuc + 1e-9 * scale >= fro
     assert fro + 1e-9 * scale >= top
     assert top >= 0.0

