@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_CLIP = 1e-6  # gradient clearance from the hard 0/1 boundary; sampling is exact
-CONSTRAINT_TOL = 1e-10  # absolute bisection tolerance on the budget constraint
 
 
 @dataclass
@@ -125,9 +124,16 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     """Euclidean projection onto { s : costs . s <= budget, 0 <= s <= 1 }.
 
     If clipping to the box alone is feasible it is returned directly.
-    Otherwise the unique multiplier nu >= 0 with
-    ``sum_k c_k clip(s_k - nu c_k, 0, 1) = budget`` is found by bisection to
-    an absolute constraint tolerance of 1e-10.
+    Otherwise the projection is ``clip(s - nu c, 0, 1)`` for the unique
+    multiplier nu > 0 with ``spend(nu) = sum_k c_k clip(s_k - nu c_k, 0, 1)
+    = budget``. ``spend`` is piecewise linear, so nu is found exactly by
+    Newton's method on it (Cominetti, Mascarenhas & Silva 2014): each step
+    solves the linear piece at the current nu, which is fixed by the free
+    set ``0 < s - nu c < 1`` and the upper set ``s - nu c >= 1``, and the
+    iteration stops when a step lands on the piece it was computed from.
+    A step that leaves the bracket of the root, or a piece with an empty
+    free set, is replaced by a bisection step. There is no tolerance: the
+    result meets the budget up to the rounding of its arithmetic.
     """
     s = np.asarray(probs, dtype=np.float64)
     c = np.asarray(costs, dtype=np.float64)
@@ -142,23 +148,32 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     clipped = np.clip(s, 0.0, 1.0)
     if float(c @ clipped) <= budget:
         return clipped
+    if budget == 0.0:  # past the last breakpoint, where a rounded root may not reach
+        return np.zeros_like(s)
 
-    def spend(nu: float) -> float:
-        return float(c @ np.clip(s - nu * c, 0.0, 1.0))
-
-    lo = 0.0
-    hi = float(np.max(np.maximum(s, 1.0) / c))  # spend(hi) == 0 <= budget
-    nu = hi
+    c2 = c * c
+    lo = 0.0  # spend(lo) > budget
+    hi = float(np.max(np.maximum(s, 1.0) / c))  # spend(hi) == 0 < budget
+    nu = lo
+    piece = None  # (free, upper) sets the current nu was solved from
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = spend(mid)
-        if abs(value - budget) <= CONSTRAINT_TOL:
-            nu = mid
+        x = s - nu * c
+        upper = x >= 1.0
+        free = (x > 0.0) & ~upper
+        if piece is not None and np.array_equal(free, piece[0]) and np.array_equal(upper, piece[1]):
+            break  # nu is the root of its own piece
+        gap = float(c @ np.clip(x, 0.0, 1.0)) - budget
+        if gap == 0.0:
             break
-        if value > budget:
-            lo = mid
+        if gap > 0.0:
+            lo = nu
         else:
-            hi = mid
+            hi = nu
+        slope = float(c2 @ free)
+        if slope > 0.0 and lo < (step := nu + gap / slope) < hi:
+            nu, piece = step, (free, upper)
+        else:
+            nu, piece = 0.5 * (lo + hi), None
     else:
         nu = hi  # feasible side of the final bracket
     return np.clip(s - nu * c, 0.0, 1.0)

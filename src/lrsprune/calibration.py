@@ -126,13 +126,9 @@ def reconstruct(pool: CandidatePool, mask) -> np.ndarray:
     """Dense weight rebuilt from the retained candidates:
     sum of kept singular triplets plus kept sparse entries."""
     keep_t, keep_e = _split(pool, mask)
-    out = np.zeros((pool.rows, pool.cols))
-    if keep_t.any():
-        cols = pool.triplet_index[keep_t]
-        out += (pool.svd.u[:, cols] * pool.triplet_sigma[keep_t]) @ pool.svd.v[:, cols].T
-    if keep_e.any():
-        out[pool.entry_rows[keep_e], pool.entry_cols[keep_e]] += pool.entry_values[keep_e]
-    return out
+    out = (pool.triplet_us[:, keep_t] @ pool.triplet_vt[keep_t]).ravel()
+    out[pool.entry_flat[keep_e]] += pool.entry_values[keep_e]
+    return out.reshape(pool.rows, pool.cols)
 
 
 @dataclass

@@ -13,6 +13,11 @@ pool has one bit per position. With ``t = n_triplets``, position ``k < t``
 is the triplet in column ``triplet_index[k]`` of ``svd.u`` / ``svd.v`` with
 singular value ``triplet_sigma[k]``, and position ``k >= t`` is the entry at
 ``(entry_rows[k - t], entry_cols[k - t])`` with value ``entry_values[k - t]``.
+
+For the masked rebuild the pool also holds the kept triplets as
+``triplet_us`` (column k is ``triplet_sigma[k]`` times its U column) and
+``triplet_vt`` (row k is its V column), and each entry's position in the
+flattened matrix as ``entry_flat``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ class CandidatePool:
     entry_rows: np.ndarray = field(repr=False)
     entry_cols: np.ndarray = field(repr=False)
     entry_values: np.ndarray = field(repr=False)
+    triplet_us: np.ndarray = field(repr=False)  # (rows, t)
+    triplet_vt: np.ndarray = field(repr=False)  # (t, cols), C-contiguous
+    entry_flat: np.ndarray = field(repr=False)  # row * cols + col
 
     @property
     def size(self) -> int:
@@ -86,6 +94,9 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
         entry_rows=rr,
         entry_cols=cc,
         entry_values=np.ascontiguousarray(vals),
+        triplet_us=f.u[:, keep] * sigma,
+        triplet_vt=np.ascontiguousarray(f.v[:, keep].T),
+        entry_flat=rr * cols + cc,
     )
 
 

@@ -22,7 +22,6 @@ from lrsprune import (
     default_toy_model,
     exact_expected_loss_grad,
     gen_calibration,
-    heuristic_threshold_baseline,
     loss_with_masks,
     planted_matrix,
     planted_model,
@@ -30,6 +29,7 @@ from lrsprune import (
     run,
 )
 from lrsprune.cli import main
+from lrsprune.pipeline import _learned, _stage1, _threshold
 
 
 def announce(name: str, detail: str) -> None:
@@ -158,17 +158,20 @@ def test_budget_exactness_and_factorization():
 def test_learned_vs_threshold_medians():
     details = []
     for fraction in (0.25, 0.5, 0.75):
+        # Stage 1 depends on the model alone, so one decomposition serves
+        # the 10 pg seeds and the three threshold variants
+        base = default_job(budget_fraction=fraction)
+        stage1 = _stage1(base)
         learned = []
         for seed in range(10):
-            report, _ = run(default_job(pg_seed=seed, budget_fraction=fraction))
+            report, _ = _learned(default_job(pg_seed=seed, budget_fraction=fraction), *stage1)
             learned.append(report.final_loss)
         med_learned = float(np.median(learned))
         # the heuristic rows hold no sampled state, so one evaluation
         # per variant is already the 10-seed median
-        base = default_job(budget_fraction=fraction)
-        med_threshold = heuristic_threshold_baseline(base)[0].final_loss
-        med_low_rank = heuristic_threshold_baseline(base, "low_rank_only")[0].final_loss
-        med_sparse = heuristic_threshold_baseline(base, "sparse_only")[0].final_loss
+        med_threshold = _threshold(base, *stage1, "both")[0].final_loss
+        med_low_rank = _threshold(base, *stage1, "low_rank_only")[0].final_loss
+        med_sparse = _threshold(base, *stage1, "sparse_only")[0].final_loss
         assert med_learned <= med_threshold
         assert med_low_rank >= med_learned
         assert med_sparse >= med_learned

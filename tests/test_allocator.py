@@ -38,6 +38,47 @@ def projection_oracle(s, c, budget):
     return res.x
 
 
+def breakpoint_projection(s, c, budget):
+    """Sort-based reference for the budget-box projection (the breakpoint
+    search of Kiwiel 2008). ``spend(nu) = c . clip(s - nu c, 0, 1)`` is
+    linear between consecutive sorted breakpoints (s - 1) / c and s / c, so
+    a binary search over them by exact evaluations finds the piece holding
+    the root, and that piece's linear equation gives the multiplier."""
+    s = np.asarray(s, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    clipped = np.clip(s, 0.0, 1.0)
+    if float(c @ clipped) <= budget:
+        return clipped
+
+    def spend(nu):
+        return float(c @ np.clip(s - nu * c, 0.0, 1.0))
+
+    points = np.unique(np.concatenate([[0.0], (s - 1.0) / c, s / c]))
+    points = points[points >= 0.0]
+    lo, hi = 0, points.size - 1  # spend(points[lo]) > budget >= spend(points[hi]) == 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if spend(points[mid]) > budget:
+            lo = mid
+        else:
+            hi = mid
+    x = s - 0.5 * (points[lo] + points[hi]) * c
+    upper = x >= 1.0
+    free = (x > 0.0) & ~upper
+    nu = (c[upper].sum() + c[free] @ s[free] - budget) / (c[free] @ c[free])
+    return np.clip(s - nu * c, 0.0, 1.0)
+
+
+def stage2_projection_input(rng, n, triplets=1, triplet_cost=40.0):
+    """Projection input shaped like a Stage 2 step: triplets costing m + n
+    ahead of unit-cost sparse entries, probabilities scattered around and
+    beyond [0, 1], and a budget below the clipped spend."""
+    c = np.concatenate([np.full(triplets, float(triplet_cost)), np.ones(n - triplets)])
+    s = np.where(rng.random(n) < 0.5, rng.uniform(-0.2, 1.2, n), rng.normal(0.5, 1.5, n))
+    budget = float(rng.uniform(0.2, 0.95) * (c @ np.clip(s, 0.0, 1.0)))
+    return s, c, budget
+
+
 def table_loss(table):
     def loss_fn(bits):
         code = int(np.asarray(bits) @ (1 << np.arange(len(bits))))
@@ -242,6 +283,61 @@ class TestProjectToBudget:
         once = project_to_budget(s, c, budget)
         twice = project_to_budget(once, c, budget)
         np.testing.assert_allclose(twice, once, atol=1e-9)
+
+
+class TestProjectionAgainstBreakpointSearch:
+    def test_matches_reference_on_stage2_sized_inputs(self):
+        rng = np.random.default_rng(5)
+        budgets = []
+        # (candidates, triplets, m + n): toy layers, toy stacks, 256x256 stacks
+        shapes = [(5, 1, 40), (40, 2, 56), (91, 5, 48), (400, 10, 56)]
+        shapes += [(3298, 21, 512), (9894, 63, 512), (10_000, 63, 512)]
+        for n, triplets, triplet_cost in shapes:
+            for _ in range(4):
+                s, c, budget = stage2_projection_input(rng, n, triplets, triplet_cost)
+                x = project_to_budget(s, c, budget)
+                np.testing.assert_allclose(x, breakpoint_projection(s, c, budget), rtol=0, atol=1e-12)
+                assert abs(float(c @ x) - budget) <= 1e-12 * budget
+                budgets.append(budget)
+        assert min(budgets) < 1e2 and max(budgets) > 1.5e4  # the workloads' range
+
+    def test_zero_budget_keeps_nothing(self, rng):
+        s, c, _ = stage2_projection_input(rng, 500)
+        np.testing.assert_array_equal(project_to_budget(s, c, 0.0), np.zeros(500))
+        # a Newton step onto the last breakpoint leaves 2.2e-16 here
+        np.testing.assert_array_equal(project_to_budget([1.2], [5.0], 0.0), [0.0])
+
+    def test_cycling_newton_steps_are_bracketed(self):
+        # unguarded Newton alternates between nu = 0.2 and nu = 0.25; the
+        # root nu = 0.225 lies between them
+        s, c = np.array([1.4, -0.2, 0.5]), np.array([2.0, 3.0, 2.0])
+        x = project_to_budget(s, c, 2.0)
+        np.testing.assert_allclose(x, [0.95, 0.0, 0.05], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x, breakpoint_projection(s, c, 2.0), rtol=0, atol=1e-15)
+
+    def test_single_candidate(self):
+        np.testing.assert_allclose(project_to_budget([2.5], [3.0], 1.5), [0.5], rtol=0, atol=1e-15)
+
+    def test_root_on_a_breakpoint(self):
+        # nu = 0.25 sends the third coordinate exactly to 0
+        x = project_to_budget([0.875, 0.5, 0.25], np.ones(3), 0.875)
+        np.testing.assert_array_equal(x, [0.625, 0.25, 0.0])
+
+    def test_probabilities_on_the_box_faces(self, rng):
+        s = rng.choice([0.0, 1.0, 0.5, 1.5, -0.5], 200)
+        c = np.where(np.arange(200) < 5, 40.0, 1.0)
+        budget = 0.5 * float(c @ np.clip(s, 0.0, 1.0))
+        x = project_to_budget(s, c, budget)
+        np.testing.assert_allclose(x, breakpoint_projection(s, c, budget), rtol=0, atol=1e-12)
+        assert abs(float(c @ x) - budget) <= 1e-12 * budget
+
+    def test_equal_costs(self, rng):
+        s = rng.normal(0.5, 1.0, 1000)
+        c = np.full(1000, 7.0)
+        budget = 0.4 * float(c @ np.clip(s, 0.0, 1.0))
+        x = project_to_budget(s, c, budget)
+        np.testing.assert_allclose(x, breakpoint_projection(s, c, budget), rtol=0, atol=1e-12)
+        assert abs(float(c @ x) - budget) <= 1e-12 * budget
 
 
 class TestFinalizeMasks:

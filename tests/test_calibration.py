@@ -20,8 +20,9 @@ from lrsprune.calibration import (
     random_orthonormal,
     reconstruct,
 )
-from lrsprune.linalg import frobenius_norm, svd
+from lrsprune.linalg import SvdFactorization, frobenius_norm, svd
 from lrsprune.pool import build_pool, param_count
+from lrsprune.rpca import decompose
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,54 @@ class TestReconstruct:
         pool, _, _, _ = planted_pool
         with pytest.raises(ValueError):
             reconstruct(pool, np.ones(pool.size + 2))
+
+
+def explicit_rebuild(pool, mask):
+    """(u[:, idx] * sigma) @ v[:, idx].T plus the kept sparse entries, from
+    the pool's factorization and entry lists."""
+    t = pool.n_triplets
+    keep_t, keep_e = mask[:t] != 0, mask[t:] != 0
+    idx = pool.triplet_index[keep_t]
+    out = (pool.svd.u[:, idx] * pool.triplet_sigma[keep_t]) @ pool.svd.v[:, idx].T
+    out[pool.entry_rows[keep_e], pool.entry_cols[keep_e]] += pool.entry_values[keep_e]
+    return out
+
+
+IDENTITY_POOLS = ("toy", "planted256", "no_triplets", "no_entries", "nothing", "1x1")
+
+
+@pytest.fixture(scope="module")
+def identity_pools():
+    rng = np.random.default_rng(4)
+    _, l0, s0 = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.06)
+    _, l1, s1 = planted_matrix(256, 256, 8, rng)
+    no_triplets = SvdFactorization(u=np.zeros((2, 0)), sigma=np.zeros(0), v=np.zeros((3, 0)))
+    one = decompose(rng.standard_normal((1, 1)))
+    return {
+        "toy": build_pool(0, svd(l0), s0),
+        "planted256": build_pool(0, svd(l1), s1),
+        "no_triplets": build_pool(0, no_triplets, np.array([[0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])),
+        "no_entries": build_pool(0, svd(l0), np.zeros_like(l0)),
+        "nothing": build_pool(0, svd(np.zeros((5, 3))), np.zeros((5, 3))),
+        "1x1": build_pool(0, one.factors, one.s),
+    }
+
+
+class TestReconstructIdentity:
+    """The masked rebuild equals the explicit sum of the kept candidates,
+    byte for byte."""
+
+    @pytest.mark.parametrize("name", IDENTITY_POOLS)
+    def test_random_and_extreme_masks(self, identity_pools, name):
+        pool = identity_pools[name]
+        rng = np.random.default_rng(7)
+        masks = [np.zeros(pool.size, dtype=np.int8), np.ones(pool.size, dtype=np.int8)]
+        masks += [(rng.random(pool.size) < p).astype(np.int8) for p in (0.1, 0.5, 0.9)]
+        for mask in masks:
+            out = reconstruct(pool, mask)
+            expected = explicit_rebuild(pool, mask)
+            assert out.shape == expected.shape == (pool.rows, pool.cols)
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestFactorize:
