@@ -8,7 +8,6 @@ deterministic top-probability selection into factorized storage.
 """
 
 from .allocator import (
-    MaskSample,
     PolicyGradientConfig,
     RetentionState,
     finalize_masks,

@@ -1,8 +1,9 @@
 """Budgeted Bernoulli retention learning.
 
-Every candidate k carries a retention probability s_k. Binary masks are
-sampled, each mask's task loss is scored against a moving baseline, and the
-probabilities follow the score-function gradient
+Every candidate k carries a retention probability s_k, starting at
+INITIAL_PROB. One binary mask is sampled per step, its task loss is scored
+against a moving baseline, and the probabilities follow the score-function
+gradient
 
     d log p(m) / d s_k = (m_k - s_k) / (s_k (1 - s_k) + eps)
 
@@ -13,11 +14,13 @@ deterministic greedy sweep in descending-probability order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PROB_CLIP = 1e-6  # gradient clearance from the hard 0/1 boundary; sampling is exact
+INITIAL_PROB = 0.5  # every candidate's retention probability before the projection
 
 
 @dataclass
@@ -27,22 +30,19 @@ class PolicyGradientConfig:
     epsilon: float = 1e-8
     iterations: int = 3  # outer passes over the calibration set
     window: int = 5  # recent losses averaged into the baseline signal
-    samples_per_step: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.baseline_beta < 1.0:
             raise ValueError("baseline_beta must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.samples_per_step < 1:
-            raise ValueError("samples_per_step must be at least 1")
 
 
 @dataclass
@@ -59,14 +59,8 @@ class RetentionState:
         return int(self.probs.size)
 
 
-@dataclass
-class MaskSample:
-    bits: np.ndarray
-    loss: float
-
-
-def init_state(pool_costs, budget, initial_prob: float = 0.5) -> RetentionState:
-    """Uniform retention probabilities projected onto the budget."""
+def init_state(pool_costs, budget) -> RetentionState:
+    """Every probability at INITIAL_PROB, projected onto the budget."""
     costs = np.asarray(pool_costs, dtype=np.float64)
     if costs.ndim != 1:
         raise ValueError("costs must be a flat vector")
@@ -74,9 +68,7 @@ def init_state(pool_costs, budget, initial_prob: float = 0.5) -> RetentionState:
         raise ValueError("candidate costs must be positive")
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    if not 0.0 <= initial_prob <= 1.0:
-        raise ValueError("initial_prob must lie in [0, 1]")
-    probs = project_to_budget(np.full(costs.shape, float(initial_prob)), costs, budget)
+    probs = project_to_budget(np.full(costs.shape, INITIAL_PROB), costs, budget)
     return RetentionState(probs=probs, costs=costs, budget=float(budget))
 
 
@@ -93,29 +85,25 @@ def log_prob_grad(mask, probs, epsilon: float) -> np.ndarray:
 
 
 def reinforce_step(
-    state: RetentionState, samples: list[MaskSample], config: PolicyGradientConfig
+    state: RetentionState, bits, loss: float, config: PolicyGradientConfig
 ) -> RetentionState:
-    """One update from a batch of scored masks.
+    """One update from one scored mask.
 
-    Per sample, in order: fold the loss into the moving baseline, then move
-    every probability along the advantage-weighted score-function gradient.
-    The batch ends with a projection back onto the budget polytope and a
-    step-count increment. The state is updated in place and returned.
+    Fold the loss into the moving baseline, move every probability along the
+    advantage-weighted score-function gradient, project back onto the budget
+    polytope and count the step. The state is updated in place and returned.
     """
     probs = np.asarray(state.probs, dtype=np.float64)
-    for sample in samples:
-        loss = float(sample.loss)
-        state.recent_losses.append(loss)
-        del state.recent_losses[: -config.window]
-        signal = sum(state.recent_losses) / len(state.recent_losses)
-        state.baseline = (
-            config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
-        )
-        advantage = loss - state.baseline
-        safe = np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-        grad = log_prob_grad(sample.bits, safe, config.epsilon)
-        probs = probs - config.learning_rate * advantage * grad
-    state.probs = project_to_budget(probs, state.costs, state.budget)
+    loss = float(loss)
+    state.recent_losses.append(loss)
+    del state.recent_losses[: -config.window]
+    signal = sum(state.recent_losses) / len(state.recent_losses)
+    state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
+    advantage = loss - state.baseline
+    grad = log_prob_grad(bits, np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP), config.epsilon)
+    state.probs = project_to_budget(
+        probs - config.learning_rate * advantage * grad, state.costs, state.budget
+    )
     state.step += 1
     return state
 

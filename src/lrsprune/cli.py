@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="print a matrix file as decimal text")
     p.add_argument("matrix", help="input matrix file")
-    p.add_argument("--quiet", action="store_true", help="suppress normal output")
     p.set_defaults(func=cmd_export)
 
     return parser

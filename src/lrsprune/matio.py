@@ -18,6 +18,7 @@ range-checked once, by the object that consumes it.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -92,7 +93,6 @@ CONFIG_DEFAULTS: dict[str, str] = {
     "pg.beta": "0.9",
     "pg.iterations": "3",
     "pg.window": "5",
-    "pg.samples": "1",
     "pg.seed": "0",
     "budget.fraction": "0.5",
     "mode": "global",
@@ -177,8 +177,8 @@ def parse_job_config(text: str) -> JobConfig:
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"budget.fraction: must lie in (0, 1], got {fraction}")
     noise = _typed(raw, "calib.noise", float)
-    if noise < 0:
-        raise ConfigError(f"calib.noise: must be non-negative, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"calib.noise: must be non-negative and finite, got {noise}")
     calib_n = _typed(raw, "calib.n", int)
     if calib_n < 1:
         raise ConfigError(f"calib.n: must be positive, got {calib_n}")
@@ -195,7 +195,6 @@ def parse_job_config(text: str) -> JobConfig:
             baseline_beta=_typed(raw, "pg.beta", float),
             iterations=_typed(raw, "pg.iterations", int),
             window=_typed(raw, "pg.window", int),
-            samples_per_step=_typed(raw, "pg.samples", int),
             seed=_typed(raw, "pg.seed", int),
         )
     return JobConfig(

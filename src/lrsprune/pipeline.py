@@ -1,6 +1,6 @@
 """End-to-end two-stage compression of a toy multilayer model.
 
-Stage 1 splits every selected layer into low-rank plus sparse parts and
+Stage 1 splits every layer into low-rank plus sparse parts and
 enumerates the prunable candidates. Stage 2 learns retention probabilities
 for all candidates jointly under one global parameter budget
 ``K = floor(budget_fraction * dense parameter count)``, then freezes a hard
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import (
-    MaskSample,
     PolicyGradientConfig,
     finalize_masks,
     greedy_fill,
@@ -55,31 +54,19 @@ class CompressionJob:
     rpca_config: RpcaConfig = field(default_factory=RpcaConfig)
     pg_config: PolicyGradientConfig = field(default_factory=PolicyGradientConfig)
     budget_fraction: float = 0.5
-    layer_selection: list[int] | None = None  # None selects every layer
     mode: str = "global"
-    initial_prob: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ValueError("budget_fraction must lie in (0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not 0.0 <= self.initial_prob <= 1.0:
-            raise ValueError("initial_prob must lie in [0, 1]")
         dims = (self.model.input_dim, self.model.output_dim)
         if (self.calib.inputs.shape[1], self.calib.targets.shape[1]) != dims:
             raise ValueError(
                 f"calibration inputs {self.calib.inputs.shape} and targets "
                 f"{self.calib.targets.shape} do not fit a model mapping {dims[0]} to {dims[1]} dims"
             )
-        if self.layer_selection is not None:
-            sel = list(self.layer_selection)
-            if len(set(sel)) != len(sel) or sorted(sel) != sel:
-                raise ValueError("layer_selection must be sorted and unique")
-            for i in sel:
-                if not 0 <= i < len(self.model.layers):
-                    raise ValueError(f"layer index {i} out of range")
-            self.layer_selection = sel
 
 
 @dataclass
@@ -118,33 +105,22 @@ class SweepRow:
     final_loss: float
 
 
-def _selected(job: CompressionJob) -> list[int]:
-    if job.layer_selection is None:
-        return list(range(len(job.model.layers)))
-    return job.layer_selection
-
-
 def _budget(job: CompressionJob, layers) -> int:
     """floor(budget_fraction * dense parameter count of the given layers)."""
     return int(np.floor(job.budget_fraction * sum(job.model.layers[i].size for i in layers)))
 
 
 def _stage1(job: CompressionJob):
-    order = _selected(job)
+    order = list(range(len(job.model.layers)))
     results = {i: decompose(job.model.layers[i], job.rpca_config) for i in order}
     pools = {i: build_pool(i, results[i].factors, results[i].s) for i in order}
     return order, results, pools
 
 
 def _slices(pools, order) -> dict[int, slice]:
-    """Span of each selected layer's candidates in the concatenated mask."""
+    """Span of each layer's candidates in the concatenated mask."""
     ends = np.cumsum([0] + [pools[i].size for i in order])
     return {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(order)}
-
-
-def _concat(arrays) -> np.ndarray:
-    """Per-layer arrays joined in mask order; empty when no layer is selected."""
-    return np.concatenate([np.zeros(0), *arrays])
 
 
 class _MaskedLossEvaluator:
@@ -160,7 +136,7 @@ class _MaskedLossEvaluator:
         self.pools = pools
         self.weights = list(model.layers)
         self.slices = _slices(pools, order)
-        self.costs = _concat(pools[i].costs for i in order)
+        self.costs = np.concatenate([pools[i].costs for i in order])
         self._keys = {i: None for i in order}
 
     def loss(self, bits: np.ndarray) -> float:
@@ -183,15 +159,12 @@ def _learn_masks(evaluator, budget, job, rng, history):
     if costs.size == 0 or budget < costs.min():
         return np.zeros(costs.size, dtype=np.int8), costs.size > 0
     pg = job.pg_config
-    state = init_state(costs, budget, job.initial_prob)
+    state = init_state(costs, budget)
     for _ in range(pg.iterations * evaluator.calib.size):
-        samples = []
-        for _ in range(pg.samples_per_step):
-            bits = sample_mask(state, rng)
-            loss = evaluator.loss(bits)
-            history.append(loss)
-            samples.append(MaskSample(bits=bits, loss=loss))
-        reinforce_step(state, samples, pg)
+        bits = sample_mask(state, rng)
+        loss = evaluator.loss(bits)
+        history.append(loss)
+        reinforce_step(state, bits, loss, pg)
     return finalize_masks(state), False
 
 
@@ -272,7 +245,7 @@ def _threshold(job: CompressionJob, order, results, pools, components: str):
     """Magnitude-ranked greedy selection over a computed Stage 1."""
     budget = _budget(job, order)
     slices = _slices(pools, order)
-    costs = _concat(pools[i].costs for i in order)
+    costs = np.concatenate([pools[i].costs for i in order])
     eligible = np.ones(costs.size, dtype=bool)
     if components != "both":
         triplet = np.zeros(costs.size, dtype=bool)
@@ -281,7 +254,7 @@ def _threshold(job: CompressionJob, order, results, pools, components: str):
         eligible = triplet if components == "low_rank_only" else ~triplet
     sub = np.flatnonzero(eligible)
     mask = np.zeros(costs.size, dtype=np.int8)
-    mags = _concat(pools[i].magnitudes for i in order)
+    mags = np.concatenate([pools[i].magnitudes for i in order])
     mask[sub] = greedy_fill(mags[sub], costs[sub], budget)
     masks = {i: mask[sl].copy() for i, sl in slices.items()}
     return _make_report(job, order, results, pools, masks, budget, [], False)
@@ -331,7 +304,7 @@ def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:
     """Full compression run per sparsity weight; None selects the default.
 
     Every weight is checked by ``RpcaConfig`` before the first run. Each
-    row aggregates the Stage 1 diagnostics over the selected layers and
+    row aggregates the Stage 1 diagnostics over the layers and
     carries the post-selection task loss.
     """
     configs = [replace(job.rpca_config, lam=lam) for lam in lambdas]

@@ -1,7 +1,8 @@
 """Robust decomposition of a dense matrix into low-rank plus sparse parts.
 
-The solver is an inexact augmented Lagrangian ADMM. With a growing penalty
-mu and a running multiplier Y it alternates
+The solver is an inexact augmented Lagrangian ADMM. With a penalty mu that
+starts at 1.25/||W||_2 and grows by RHO per iteration, and a running
+multiplier Y, it alternates
 
     L <- SVT_{1/mu}(W - S + Y/mu)          singular value thresholding
     S <- soft_{lambda/mu}(W - L + Y/mu)    entrywise soft thresholding
@@ -26,13 +27,15 @@ step's shrunk factorization, whose product is ``l``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SvdFactorization, as_matrix, frobenius_norm, spectral_norm, svd
 
-MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR * mu_init
+RHO = 1.5  # penalty growth factor per ADMM iteration
+MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR times its start
 RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
 INITIAL_RANK = 10  # predicted SVT rank of the first iteration
 RANK_STEP = 0.05  # rank growth, as a fraction of the smaller dimension
@@ -55,22 +58,15 @@ class NonConvergenceError(Exception):
 
 @dataclass
 class RpcaConfig:
-    """Solver knobs. ``lam=None`` and ``mu_init=None`` select the defaults
-    1/sqrt(max(m, n)) and 1.25/spectral_norm(W)."""
+    """Solver knobs. ``lam=None`` selects the default 1/sqrt(max(m, n))."""
 
     lam: float | None = None
-    mu_init: float | None = None
-    rho: float = 1.5
     tol: float = 1e-7
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.mu_init is not None and not self.mu_init > 0:
-            raise ValueError("mu_init must be positive")
-        if not self.rho > 1:
-            raise ValueError("rho must exceed 1")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be positive and finite")
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1)")
         if self.max_iters < 1:
@@ -170,11 +166,9 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     w = as_matrix(w)
     config = config if config is not None else RpcaConfig()
     rows, cols = w.shape
-    lam = config.lam if config.lam is not None else default_lambda(rows, cols)
-
     scale = max(frobenius_norm(w), 1e-12)
     w_top = spectral_norm(w)
-    if w_top == 0.0:
+    if w_top == 0.0:  # all-zero or zero-size, where default_lambda is undefined
         zero = np.zeros_like(w)
         return RpcaResult(
             l=zero,
@@ -190,7 +184,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             ),
         )
 
-    mu = config.mu_init if config.mu_init is not None else 1.25 / w_top
+    lam = config.lam if config.lam is not None else default_lambda(rows, cols)
+    mu = 1.25 / w_top
     mu_cap = MU_CAP_FACTOR * mu
     # dual-feasible start for the multiplier
     y = w / max(w_top, float(np.abs(w).max()) / lam)
@@ -210,7 +205,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         s = update_s(w, l, y, mu, lam)
         gap = w - l - s
         y = y + mu * gap
-        mu = min(config.rho * mu, mu_cap)
+        mu = min(RHO * mu, mu_cap)
         residual = frobenius_norm(gap) / scale
         history.append(residual)
         if residual <= config.tol:

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from lrsprune.allocator import (
-    MaskSample,
     PolicyGradientConfig,
     RetentionState,
     finalize_masks,
@@ -92,15 +91,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PolicyGradientConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
+            PolicyGradientConfig(learning_rate=float("inf"))
+        with pytest.raises(ValueError):
             PolicyGradientConfig(baseline_beta=1.0)
         with pytest.raises(ValueError):
             PolicyGradientConfig(epsilon=0.0)
         with pytest.raises(ValueError):
+            PolicyGradientConfig(epsilon=float("inf"))
+        with pytest.raises(ValueError):
             PolicyGradientConfig(iterations=0)
         with pytest.raises(ValueError):
             PolicyGradientConfig(window=0)
-        with pytest.raises(ValueError):
-            PolicyGradientConfig(samples_per_step=0)
 
 
 class TestInitState:
@@ -112,10 +113,10 @@ class TestInitState:
         assert state.step == 0
 
     def test_infeasible_start_is_projected(self):
-        # projecting (1, 1) onto {x1 + x2 <= 1} lands on the midpoint
-        state = init_state([1.0, 1.0], 1.0, initial_prob=1.0)
-        np.testing.assert_allclose(state.probs, [0.5, 0.5], atol=1e-9)
-        oracle = projection_oracle(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+        # projecting the 0.5 start onto {x1 + ... + x4 <= 1} lands on 0.25 each
+        state = init_state(np.ones(4), 1.0)
+        np.testing.assert_allclose(state.probs, [0.25] * 4, atol=1e-9)
+        oracle = projection_oracle(np.full(4, 0.5), np.ones(4), 1.0)
         np.testing.assert_allclose(state.probs, oracle, atol=1e-5)
 
     def test_rejects_bad_inputs(self):
@@ -125,25 +126,23 @@ class TestInitState:
             init_state([1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             init_state([[1.0]], 1.0)
-        with pytest.raises(ValueError):
-            init_state([1.0], 1.0, initial_prob=1.5)
 
 
 class TestSampleMask:
     def test_degenerate_probabilities_exact(self, rng):
-        state = init_state(np.ones(6), 6.0, initial_prob=0.0)
+        state = RetentionState(probs=np.zeros(6), costs=np.ones(6), budget=6.0)
         np.testing.assert_array_equal(sample_mask(state, rng), np.zeros(6))
-        state = init_state(np.ones(6), 6.0, initial_prob=1.0)
+        state = RetentionState(probs=np.ones(6), costs=np.ones(6), budget=6.0)
         np.testing.assert_array_equal(sample_mask(state, rng), np.ones(6))
         assert sample_mask(state, rng).dtype == np.int8
 
     def test_mean_matches_probability(self, rng):
-        state = init_state(np.ones(1), 1.0, initial_prob=0.3)
+        state = RetentionState(probs=np.array([0.3]), costs=np.ones(1), budget=1.0)
         draws = np.array([sample_mask(state, rng)[0] for _ in range(100_000)])
         assert 0.294 <= draws.mean() <= 0.306
 
     def test_variance_at_half(self, rng):
-        state = init_state(np.ones(1), 1.0, initial_prob=0.5)
+        state = RetentionState(probs=np.array([0.5]), costs=np.ones(1), budget=1.0)
         draws = np.array([sample_mask(state, rng)[0] for _ in range(100_000)], dtype=float)
         assert abs(draws.var() - 0.25) <= 0.005
 
@@ -163,7 +162,7 @@ class TestReinforceStep:
     def test_baseline_update_arithmetic(self):
         cfg = PolicyGradientConfig(window=1)
         state = init_state([1.0], 1.0)
-        reinforce_step(state, [MaskSample(bits=np.array([1]), loss=1.0)], cfg)
+        reinforce_step(state, np.array([1]), 1.0, cfg)
         assert state.baseline == pytest.approx(0.1, abs=1e-15)
         # advantage 0.9 pushed the kept-candidate probability down
         expected = 0.5 - cfg.learning_rate * 0.9 * (0.5 / (0.25 + cfg.epsilon))
@@ -175,7 +174,7 @@ class TestReinforceStep:
         state = init_state([1.0, 1.0], 2.0)
         state.probs = np.array([0.3, 0.6])
         state.baseline = 2.5
-        reinforce_step(state, [MaskSample(bits=np.array([1, 0]), loss=2.5)], cfg)
+        reinforce_step(state, np.array([1, 0]), 2.5, cfg)
         np.testing.assert_array_equal(state.probs, [0.3, 0.6])
 
     def test_windowed_signal_with_plain_averaging(self):
@@ -183,7 +182,7 @@ class TestReinforceStep:
         state = init_state([1.0], 1.0)
         seen = []
         for k, loss in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], start=1):
-            reinforce_step(state, [MaskSample(bits=np.array([0]), loss=loss)], cfg)
+            reinforce_step(state, np.array([0]), loss, cfg)
             seen.append(loss)
             assert len(state.recent_losses) == min(k, 5)
             assert state.baseline == pytest.approx(np.mean(seen[-5:]), abs=1e-12)
@@ -197,7 +196,7 @@ class TestReinforceStep:
         for _ in range(500):
             bits = sample_mask(state, rng)
             loss = 0.0 if bits[0] else 1.0
-            reinforce_step(state, [MaskSample(bits=bits, loss=loss)], cfg)
+            reinforce_step(state, bits, loss, cfg)
         assert state.probs[0] >= 0.95
 
     def test_budget_respected_after_every_step(self, rng):
@@ -207,7 +206,7 @@ class TestReinforceStep:
         for _ in range(50):
             bits = sample_mask(state, rng)
             loss = float(np.sum(bits))
-            reinforce_step(state, [MaskSample(bits=bits, loss=loss)], cfg)
+            reinforce_step(state, bits, loss, cfg)
             assert float(costs @ state.probs) <= 1.5 + 1e-9
             assert np.all(state.probs >= 0.0) and np.all(state.probs <= 1.0)
 

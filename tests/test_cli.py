@@ -101,7 +101,6 @@ class TestJobConfig:
         assert s.pg.baseline_beta == 0.9
         assert s.pg.iterations == 3
         assert s.pg.window == 5
-        assert s.pg.samples_per_step == 1
         assert s.pg.seed == 0
         assert s.budget_fraction == 0.5
         assert s.mode == "global"
@@ -130,6 +129,8 @@ class TestJobConfig:
         with pytest.raises(ConfigError):
             parse_job_config("calib.noise = -1")
         with pytest.raises(ConfigError):
+            parse_job_config("calib.noise = inf")
+        with pytest.raises(ConfigError):
             parse_job_config("budget.fraction = 0")
         with pytest.raises(ConfigError):
             parse_job_config("budget.fraction = 1.2")
@@ -149,6 +150,8 @@ class TestJobConfig:
             ("rpca.max_iters = 0", "rpca"),
             ("pg.beta = 1", "pg"),
             ("pg.lr = 0", "pg"),
+            ("pg.lr = inf", "pg"),
+            ("rpca.lambda = inf", "rpca"),
         ],
     )
     def test_solver_ranges_checked_by_their_configs(self, line, section):

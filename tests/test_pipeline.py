@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrsprune.allocator import PolicyGradientConfig
-from lrsprune.calibration import CalibrationSet, gen_calibration, planted_model
+from lrsprune.calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
+    MODES,
     CompressionJob,
     ablate_threshold,
     default_job,
@@ -49,16 +52,10 @@ class TestJobValidation:
         with pytest.raises(ValueError):
             CompressionJob(model=job.model, calib=job.calib, budget_fraction=1.5)
 
-    def test_mode_and_selection_validated(self, quick_run):
+    def test_mode_validated(self, quick_run):
         job = quick_run[0]
         with pytest.raises(ValueError):
             CompressionJob(model=job.model, calib=job.calib, mode="parallel")
-        with pytest.raises(ValueError):
-            CompressionJob(model=job.model, calib=job.calib, layer_selection=[1, 0])
-        with pytest.raises(ValueError):
-            CompressionJob(model=job.model, calib=job.calib, layer_selection=[0, 0])
-        with pytest.raises(ValueError):
-            CompressionJob(model=job.model, calib=job.calib, layer_selection=[3])
 
     def test_calibration_dims_checked_up_front(self, quick_run):
         job = quick_run[0]
@@ -92,7 +89,7 @@ class TestRunReport:
 
     def test_history_records_every_scored_sample(self, quick_run):
         job, report, _ = quick_run
-        steps = job.pg_config.iterations * job.calib.size * job.pg_config.samples_per_step
+        steps = job.pg_config.iterations * job.calib.size
         assert len(report.history) == steps
         assert all(np.isfinite(h) for h in report.history)
 
@@ -152,6 +149,32 @@ class TestBudgetTooSmall:
         self.check_triplet_only_pool_below_cheapest(rng, "sequential")
 
 
+@st.composite
+def zero_size_jobs(draw):
+    """Two-layer jobs, d0 x d1 feeding d1 x d2, where some d is zero."""
+    dims = draw(st.lists(st.integers(0, 5), min_size=3, max_size=3).filter(lambda d: 0 in d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    model = ToyModel(layers=[rng.standard_normal(dims[:2]), rng.standard_normal(dims[1:])])
+    return CompressionJob(
+        model=model,
+        calib=gen_calibration(model, 4, 0.0, rng),
+        pg_config=PolicyGradientConfig(iterations=1),
+        budget_fraction=draw(st.floats(0.05, 1.0)),
+        mode=draw(st.sampled_from(MODES)),
+    )
+
+
+class TestZeroSizeLayers:
+    @given(job=zero_size_jobs())
+    def test_budget_kept_and_empty_layers_cost_nothing(self, job):
+        reports = [run(job)[0]] + [report for _, report in ablate_threshold(job)]
+        for report in reports:
+            assert report.used_cost <= report.budget
+            for ls in report.layers:
+                if ls.rows * ls.cols == 0:
+                    assert ls.cost == 0
+
+
 def reference_threshold_masks(job, components):
     """The magnitude threshold written one candidate object at a time: every
     triplet and sparse entry of every layer in pool order, visited by
@@ -198,22 +221,6 @@ class TestSequentialMode:
         for ls, cap in zip(report.layers, per_layer):
             assert ls.cost <= cap
         assert report.used_cost <= report.budget
-
-
-class TestLayerSelection:
-    def test_subset_only(self):
-        job = default_job(calib_n=32)
-        job = CompressionJob(
-            model=job.model,
-            calib=job.calib,
-            pg_config=job.pg_config,
-            budget_fraction=0.5,
-            layer_selection=[0, 2],
-        )
-        report, compressed = run(job)
-        assert sorted(compressed) == [0, 2]
-        assert [ls.layer_id for ls in report.layers] == [0, 2]
-        assert report.budget == int(np.floor(0.5 * (32 * 24 + 24 * 16)))
 
 
 class TestNearOracle:

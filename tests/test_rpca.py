@@ -14,6 +14,7 @@ from lrsprune.linalg import frobenius_norm, svd
 from lrsprune.rpca import (
     MU_CAP_FACTOR,
     RANK_CUTOFF,
+    RHO,
     NonConvergenceError,
     RpcaConfig,
     decompose,
@@ -43,7 +44,7 @@ def full_svd_ialm(w, config=RpcaConfig()):
         s = soft_threshold(w - l + y / mu, lam / mu)
         gap = w - l - s
         y = y + mu * gap
-        mu = min(config.rho * mu, mu_cap)
+        mu = min(RHO * mu, mu_cap)
         if np.linalg.norm(gap) / scale <= config.tol:
             break
     sig = np.linalg.svd(l, compute_uv=False)
@@ -140,9 +141,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RpcaConfig(lam=0.0)
         with pytest.raises(ValueError):
-            RpcaConfig(mu_init=-1.0)
-        with pytest.raises(ValueError):
-            RpcaConfig(rho=1.0)
+            RpcaConfig(lam=float("inf"))
         with pytest.raises(ValueError):
             RpcaConfig(tol=0.0)
         with pytest.raises(ValueError):
