@@ -43,6 +43,8 @@ class PolicyGradientConfig:
             raise ValueError("iterations must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -51,12 +53,7 @@ class RetentionState:
     costs: np.ndarray
     budget: float
     baseline: float = 0.0
-    step: int = 0
     recent_losses: list = field(default_factory=list, repr=False)
-
-    @property
-    def size(self) -> int:
-        return int(self.probs.size)
 
 
 def init_state(pool_costs, budget) -> RetentionState:
@@ -90,8 +87,8 @@ def reinforce_step(
     """One update from one scored mask.
 
     Fold the loss into the moving baseline, move every probability along the
-    advantage-weighted score-function gradient, project back onto the budget
-    polytope and count the step. The state is updated in place and returned.
+    advantage-weighted score-function gradient and project back onto the
+    budget polytope. The state is updated in place and returned.
     """
     probs = np.asarray(state.probs, dtype=np.float64)
     loss = float(loss)
@@ -104,7 +101,6 @@ def reinforce_step(
     state.probs = project_to_budget(
         probs - config.learning_rate * advantage * grad, state.costs, state.budget
     )
-    state.step += 1
     return state
 
 

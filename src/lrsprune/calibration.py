@@ -154,17 +154,15 @@ class CompressedLayer:
 def factorize(pool: CandidatePool, mask) -> CompressedLayer:
     """Split the retained triplets into balanced factors via sqrt(sigma)."""
     keep_t, keep_e = _split(pool, mask)
-    cols = pool.triplet_index[keep_t]
-    root = np.sqrt(pool.triplet_sigma[keep_t])
-    u_prime = np.ascontiguousarray(pool.svd.u[:, cols] * root)
-    v_prime = np.ascontiguousarray(pool.svd.v[:, cols] * root)
-    s_masked = np.zeros((pool.rows, pool.cols))
-    if keep_e.any():
-        s_masked[pool.entry_rows[keep_e], pool.entry_cols[keep_e]] = pool.entry_values[keep_e]
+    root = np.sqrt(pool.svd.sigma[keep_t])
+    u_prime = np.ascontiguousarray(pool.svd.u[:, keep_t] * root)
+    v_prime = np.ascontiguousarray(pool.svd.v[:, keep_t] * root)
+    s_masked = np.zeros(pool.rows * pool.cols)
+    s_masked[pool.entry_flat[keep_e]] = pool.entry_values[keep_e]
     return CompressedLayer(
         u_prime=u_prime,
         v_prime=v_prime,
-        s_masked=s_masked,
+        s_masked=s_masked.reshape(pool.rows, pool.cols),
         mask=np.asarray(mask, dtype=np.int8).copy(),
         retained_rank=int(np.count_nonzero(keep_t)),
     )

@@ -65,6 +65,8 @@ def _load_config(args) -> JobConfig:
     config = load_job_config(args.config) if args.config is not None else parse_job_config("")
     if getattr(args, "seed", None) is None:
         return config
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     return replace(config, model_seed=args.seed, pg=replace(config.pg, seed=args.seed))
 
 

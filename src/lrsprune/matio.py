@@ -182,6 +182,9 @@ def parse_job_config(text: str) -> JobConfig:
     calib_n = _typed(raw, "calib.n", int)
     if calib_n < 1:
         raise ConfigError(f"calib.n: must be positive, got {calib_n}")
+    model_seed = _typed(raw, "model.seed", int)
+    if model_seed < 0:
+        raise ConfigError(f"model.seed: must be non-negative, got {model_seed}")
 
     with _section("rpca"):
         rpca = RpcaConfig(
@@ -198,7 +201,7 @@ def parse_job_config(text: str) -> JobConfig:
             seed=_typed(raw, "pg.seed", int),
         )
     return JobConfig(
-        model_seed=_typed(raw, "model.seed", int),
+        model_seed=model_seed,
         shapes=_parse_shapes(raw["model.shapes"]),
         calib_n=calib_n,
         calib_noise=noise,

@@ -1,13 +1,13 @@
 """End-to-end two-stage compression of a toy multilayer model.
 
 Stage 1 splits every layer into low-rank plus sparse parts and
-enumerates the prunable candidates. Stage 2 learns retention probabilities
-for all candidates jointly under one global parameter budget
-``K = floor(budget_fraction * dense parameter count)``, then freezes a hard
-top-probability selection and factorizes the survivors.
-
-A sequential mode optimizes layers one at a time instead, each against its
-own pro-rata budget with the earlier layers already compressed.
+enumerates the prunable candidates. Stage 2 is one loop over budget groups
+of layers: each group learns retention probabilities for its candidates
+jointly under the budget ``floor(budget_fraction * dense parameter count of
+the group)``, freezes a hard top-probability selection, and is rebuilt from
+it for the groups after it. Global mode has one group of every layer,
+sequential mode one group per layer in order. The survivors are then
+factorized.
 
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
 selection and the magnitude-threshold baselines all search inside them, so
@@ -30,7 +30,6 @@ from .allocator import (
 )
 from .calibration import (
     CalibrationSet,
-    CompressedLayer,
     ToyModel,
     _task_loss,
     default_toy_model,
@@ -40,7 +39,7 @@ from .calibration import (
     loss_with_masks,
     reconstruct,
 )
-from .pool import CandidatePool, build_pool, param_count
+from .pool import build_pool, param_count
 from .rpca import RpcaConfig, decompose
 
 MODES = ("global", "sequential")
@@ -111,33 +110,39 @@ def _budget(job: CompressionJob, layers) -> int:
 
 
 def _stage1(job: CompressionJob):
-    order = list(range(len(job.model.layers)))
-    results = {i: decompose(job.model.layers[i], job.rpca_config) for i in order}
-    pools = {i: build_pool(i, results[i].factors, results[i].s) for i in order}
-    return order, results, pools
+    """Decomposition and candidate pool of every layer, each keyed by layer index."""
+    results = {i: decompose(w, job.rpca_config) for i, w in enumerate(job.model.layers)}
+    pools = {i: build_pool(i, res.factors, res.s) for i, res in results.items()}
+    return results, pools
 
 
-def _slices(pools, order) -> dict[int, slice]:
-    """Span of each layer's candidates in the concatenated mask."""
-    ends = np.cumsum([0] + [pools[i].size for i in order])
-    return {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(order)}
+def _slices(pools, group) -> dict[int, slice]:
+    """Span of each layer's candidates in the group's concatenated mask."""
+    ends = np.cumsum([0] + [pools[i].size for i in group])
+    return {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
+
+
+def _split(mask, pools, group) -> dict[int, np.ndarray]:
+    """Per-layer masks of a mask over the group's concatenated candidates."""
+    return {i: mask[sl].copy() for i, sl in _slices(pools, group).items()}
 
 
 class _MaskedLossEvaluator:
-    """Task loss of a concatenated mask.
+    """Task loss of a mask over a group's concatenated candidates, with the
+    layers outside the group at ``weights``.
 
     Caches the rebuilt weight per layer and only re-reconstructs layers
     whose mask bits changed; values are identical to a full rebuild.
     """
 
-    def __init__(self, model, calib, pools, order):
-        self.activation = model.activation
-        self.calib = calib
+    def __init__(self, job, weights, pools, group):
+        self.activation = job.model.activation
+        self.calib = job.calib
         self.pools = pools
-        self.weights = list(model.layers)
-        self.slices = _slices(pools, order)
-        self.costs = np.concatenate([pools[i].costs for i in order])
-        self._keys = {i: None for i in order}
+        self.weights = list(weights)
+        self.slices = _slices(pools, group)
+        self.costs = np.concatenate([pools[i].costs for i in group])
+        self._keys = dict.fromkeys(group)
 
     def loss(self, bits: np.ndarray) -> float:
         for i, sl in self.slices.items():
@@ -168,38 +173,17 @@ def _learn_masks(evaluator, budget, job, rng, history):
     return finalize_masks(state), False
 
 
-def _allocate_global(job, pools, order, budget, rng, history):
-    evaluator = _MaskedLossEvaluator(job.model, job.calib, pools, order)
-    final, too_small = _learn_masks(evaluator, budget, job, rng, history)
-    masks = {i: final[sl].copy() for i, sl in evaluator.slices.items()}
-    return masks, too_small
-
-
-def _allocate_sequential(job, pools, order, rng, history):
-    weights = list(job.model.layers)
-    masks: dict[int, np.ndarray] = {}
-    too_small = False
-    for i in order:
-        pool = pools[i]
-        stage_model = ToyModel(layers=list(weights), activation=job.model.activation)
-        evaluator = _MaskedLossEvaluator(stage_model, job.calib, {i: pool}, [i])
-        masks[i], small = _learn_masks(evaluator, _budget(job, [i]), job, rng, history)
-        too_small = too_small or small
-        weights[i] = reconstruct(pool, masks[i])
-    return masks, too_small
-
-
-def _make_report(job, order, results, pools, masks, budget, history, too_small) -> tuple:
+def _make_report(job, results, pools, masks, budget, history, too_small) -> tuple:
     model, calib = job.model, job.calib
     dense_loss = forward_loss(model, calib)
-    ones = {i: np.ones(pools[i].size, dtype=np.int8) for i in order}
+    ones = {i: np.ones(pool.size, dtype=np.int8) for i, pool in pools.items()}
     rpca_loss = loss_with_masks(model, pools, ones, calib)
     final_loss = loss_with_masks(model, pools, masks, calib)
-    compressed = {i: factorize(pools[i], masks[i]) for i in order}
+    compressed = {i: factorize(pool, masks[i]) for i, pool in pools.items()}
 
     layers = []
-    for i in order:
-        pool, res, lay = pools[i], results[i], compressed[i]
+    for i, pool in pools.items():
+        res, lay = results[i], compressed[i]
         layers.append(
             LayerSummary(
                 layer_id=i,
@@ -228,36 +212,46 @@ def _make_report(job, order, results, pools, masks, budget, history, too_small) 
     return report, compressed
 
 
-def _learned(job: CompressionJob, order, results, pools):
-    """Stage 2 learned selection over a computed Stage 1."""
+def _learned(job: CompressionJob, results, pools):
+    """Stage 2 learned selection over a computed Stage 1.
+
+    Layers are learned in budget groups, in order: one group of every layer
+    in global mode, one group per layer in sequential mode. Each group has
+    its own budget and is scored with the layers of earlier groups rebuilt
+    from their final masks; the report's budget is the sum over groups.
+    """
+    layers = list(pools)
+    groups = [layers] if job.mode == "global" else [[i] for i in layers]
     rng = np.random.default_rng(job.pg_config.seed)
+    weights = list(job.model.layers)
     history: list[float] = []
-    if job.mode == "global":
-        budget = _budget(job, order)
-        masks, too_small = _allocate_global(job, pools, order, budget, rng, history)
-    else:
-        masks, too_small = _allocate_sequential(job, pools, order, rng, history)
-        budget = sum(_budget(job, [i]) for i in order)
-    return _make_report(job, order, results, pools, masks, budget, history, too_small)
+    masks: dict[int, np.ndarray] = {}
+    too_small = False
+    for group in groups:
+        evaluator = _MaskedLossEvaluator(job, weights, pools, group)
+        final, small = _learn_masks(evaluator, _budget(job, group), job, rng, history)
+        too_small = too_small or small
+        masks.update(_split(final, pools, group))
+        if group is not groups[-1]:
+            for i in group:
+                weights[i] = reconstruct(pools[i], masks[i])
+    budget = sum(_budget(job, group) for group in groups)
+    return _make_report(job, results, pools, masks, budget, history, too_small)
 
 
-def _threshold(job: CompressionJob, order, results, pools, components: str):
-    """Magnitude-ranked greedy selection over a computed Stage 1."""
-    budget = _budget(job, order)
-    slices = _slices(pools, order)
-    costs = np.concatenate([pools[i].costs for i in order])
-    eligible = np.ones(costs.size, dtype=bool)
-    if components != "both":
-        triplet = np.zeros(costs.size, dtype=bool)
-        for i, sl in slices.items():
-            triplet[sl.start : sl.start + pools[i].n_triplets] = True
-        eligible = triplet if components == "low_rank_only" else ~triplet
-    sub = np.flatnonzero(eligible)
+def _threshold(job: CompressionJob, results, pools, components: str):
+    """Magnitude-ranked greedy selection over a computed Stage 1: one group
+    of every layer at the global budget."""
+    group = list(pools)
+    budget = _budget(job, group)
+    costs = np.concatenate([pools[i].costs for i in group])
+    mags = np.concatenate([pools[i].magnitudes for i in group])
+    triplet = np.concatenate([np.arange(pools[i].size) < pools[i].n_triplets for i in group])
+    eligible = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
+    sub = np.flatnonzero(eligible[components])
     mask = np.zeros(costs.size, dtype=np.int8)
-    mags = np.concatenate([pools[i].magnitudes for i in order])
     mask[sub] = greedy_fill(mags[sub], costs[sub], budget)
-    masks = {i: mask[sl].copy() for i, sl in slices.items()}
-    return _make_report(job, order, results, pools, masks, budget, [], False)
+    return _make_report(job, results, pools, _split(mask, pools, group), budget, [], False)
 
 
 def run(job: CompressionJob):
@@ -291,11 +285,8 @@ def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]
     """
     stage1 = _stage1(job)
     rows = [("learned", _learned(job, *stage1)[0])]
-    for variant, components in (
-        ("threshold", "both"),
-        ("low_rank_only", "low_rank_only"),
-        ("sparse_only", "sparse_only"),
-    ):
+    for components in COMPONENT_CHOICES:
+        variant = "threshold" if components == "both" else components
         rows.append((variant, _threshold(job, *stage1, components)[0]))
     return rows
 

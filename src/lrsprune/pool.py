@@ -9,15 +9,16 @@ A pool is a set of flat arrays in one deterministic candidate order:
 triplets by descending singular value, then sparse entries by descending
 magnitude with (row, col) breaking ties. ``costs`` and ``magnitudes`` (sigma
 for a triplet, |value| for an entry) span the whole order; a mask over the
-pool has one bit per position. With ``t = n_triplets``, position ``k < t``
-is the triplet in column ``triplet_index[k]`` of ``svd.u`` / ``svd.v`` with
-singular value ``triplet_sigma[k]``, and position ``k >= t`` is the entry at
-``(entry_rows[k - t], entry_cols[k - t])`` with value ``entry_values[k - t]``.
+pool has one bit per position. Triplets with sigma above
+``SIGMA_CUTOFF * sigma_1`` are kept, and as sigma descends they are a
+prefix: with ``t = n_triplets``, position ``k < t`` is column k of ``svd``
+(which holds those t triplets only), and position ``k >= t`` is the entry
+with value ``entry_values[k - t]`` at ``entry_flat[k - t] = row * cols +
+col`` of the flattened matrix.
 
 For the masked rebuild the pool also holds the kept triplets as
-``triplet_us`` (column k is ``triplet_sigma[k]`` times its U column) and
-``triplet_vt`` (row k is its V column), and each entry's position in the
-flattened matrix as ``entry_flat``.
+``triplet_us`` (column k is sigma_k times its U column) and ``triplet_vt``
+(row k is its V column).
 """
 
 from __future__ import annotations
@@ -36,14 +37,9 @@ class CandidatePool:
     layer_id: int | str
     rows: int
     cols: int
-    svd: SvdFactorization  # factorization of the low-rank part
-    total_cost: int
+    svd: SvdFactorization  # the kept triplets of the low-rank part
     costs: np.ndarray = field(repr=False)  # float64, one per candidate
     magnitudes: np.ndarray = field(repr=False)
-    triplet_index: np.ndarray = field(repr=False)
-    triplet_sigma: np.ndarray = field(repr=False)
-    entry_rows: np.ndarray = field(repr=False)
-    entry_cols: np.ndarray = field(repr=False)
     entry_values: np.ndarray = field(repr=False)
     triplet_us: np.ndarray = field(repr=False)  # (rows, t)
     triplet_vt: np.ndarray = field(repr=False)  # (t, cols), C-contiguous
@@ -55,7 +51,12 @@ class CandidatePool:
 
     @property
     def n_triplets(self) -> int:
-        return int(self.triplet_index.size)
+        return self.svd.rank
+
+    @property
+    def total_cost(self) -> int:
+        """Stored parameters when every candidate is kept."""
+        return int(self.costs.sum())
 
 
 def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
@@ -69,33 +70,24 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
     if (rows, cols) != s.shape:
         raise ValueError(f"part shapes differ: {(rows, cols)} vs {s.shape}")
 
-    if f.sigma.size and f.sigma[0] > 0.0:
-        keep = np.flatnonzero(f.sigma > SIGMA_CUTOFF * f.sigma[0])
-    else:
-        keep = np.array([], dtype=np.intp)
-    sigma = np.ascontiguousarray(f.sigma[keep])
+    t = int(np.count_nonzero(f.sigma > SIGMA_CUTOFF * f.sigma[0])) if f.sigma.size else 0
+    svd = SvdFactorization(u=f.u[:, :t], sigma=f.sigma[:t], v=f.v[:, :t])
 
     rr, cc = np.nonzero(s)
     vals = s[rr, cc]
     order = np.lexsort((cc, rr, -np.abs(vals)))
     rr, cc, vals = rr[order], cc[order], vals[order]
 
-    costs = np.concatenate([np.full(keep.size, float(rows + cols)), np.ones(vals.size)])
     return CandidatePool(
         layer_id=layer_id,
         rows=rows,
         cols=cols,
-        svd=f,
-        total_cost=(rows + cols) * keep.size + vals.size,
-        costs=costs,
-        magnitudes=np.concatenate([sigma, np.abs(vals)]),
-        triplet_index=keep,
-        triplet_sigma=sigma,
-        entry_rows=rr,
-        entry_cols=cc,
+        svd=svd,
+        costs=np.concatenate([np.full(t, float(rows + cols)), np.ones(vals.size)]),
+        magnitudes=np.concatenate([svd.sigma, np.abs(vals)]),
         entry_values=np.ascontiguousarray(vals),
-        triplet_us=f.u[:, keep] * sigma,
-        triplet_vt=np.ascontiguousarray(f.v[:, keep].T),
+        triplet_us=svd.u * svd.sigma,
+        triplet_vt=np.ascontiguousarray(svd.v.T),
         entry_flat=rr * cols + cc,
     )
 

@@ -102,6 +102,8 @@ class TestConfigValidation:
             PolicyGradientConfig(iterations=0)
         with pytest.raises(ValueError):
             PolicyGradientConfig(window=0)
+        with pytest.raises(ValueError):
+            PolicyGradientConfig(seed=-1)
 
 
 class TestInitState:
@@ -110,7 +112,6 @@ class TestInitState:
         np.testing.assert_array_equal(state.probs, [0.5, 0.5, 0.5, 0.5])
         assert state.budget == 4.0
         assert state.baseline == 0.0
-        assert state.step == 0
 
     def test_infeasible_start_is_projected(self):
         # projecting the 0.5 start onto {x1 + ... + x4 <= 1} lands on 0.25 each
@@ -167,7 +168,6 @@ class TestReinforceStep:
         # advantage 0.9 pushed the kept-candidate probability down
         expected = 0.5 - cfg.learning_rate * 0.9 * (0.5 / (0.25 + cfg.epsilon))
         assert state.probs[0] == pytest.approx(expected, abs=1e-12)
-        assert state.step == 1
 
     def test_zero_advantage_leaves_probs_unchanged(self):
         cfg = PolicyGradientConfig(baseline_beta=0.5, window=1)
@@ -186,7 +186,6 @@ class TestReinforceStep:
             seen.append(loss)
             assert len(state.recent_losses) == min(k, 5)
             assert state.baseline == pytest.approx(np.mean(seen[-5:]), abs=1e-12)
-        assert state.step == 6
 
     def test_single_candidate_learns_to_keep(self):
         # keeping the candidate scores 0, dropping it scores 1

@@ -118,7 +118,7 @@ class TestReconstruct:
         pool, _, _, _ = planted_pool
         mask = np.zeros(pool.size)
         mask[0] = 1
-        top = pool.triplet_sigma[0] * np.outer(pool.svd.u[:, 0], pool.svd.v[:, 0])
+        top = pool.svd.sigma[0] * np.outer(pool.svd.u[:, 0], pool.svd.v[:, 0])
         np.testing.assert_allclose(reconstruct(pool, mask), top, atol=1e-12)
 
     def test_entries_only_restore_sparse_part_exactly(self, planted_pool):
@@ -138,9 +138,9 @@ def explicit_rebuild(pool, mask):
     the pool's factorization and entry lists."""
     t = pool.n_triplets
     keep_t, keep_e = mask[:t] != 0, mask[t:] != 0
-    idx = pool.triplet_index[keep_t]
-    out = (pool.svd.u[:, idx] * pool.triplet_sigma[keep_t]) @ pool.svd.v[:, idx].T
-    out[pool.entry_rows[keep_e], pool.entry_cols[keep_e]] += pool.entry_values[keep_e]
+    out = (pool.svd.u[:, keep_t] * pool.svd.sigma[keep_t]) @ pool.svd.v[:, keep_t].T
+    rows, cols = np.divmod(pool.entry_flat[keep_e], pool.cols)
+    out[rows, cols] += pool.entry_values[keep_e]
     return out
 
 

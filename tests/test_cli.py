@@ -142,6 +142,8 @@ class TestJobConfig:
             parse_job_config("rpca.lambda = -0.1")
         with pytest.raises(ConfigError):
             parse_job_config("model.shapes = 8by6")
+        with pytest.raises(ConfigError, match="^model.seed: "):
+            parse_job_config("model.seed = -1")
 
     @pytest.mark.parametrize(
         "line, section",
@@ -152,6 +154,7 @@ class TestJobConfig:
             ("pg.lr = 0", "pg"),
             ("pg.lr = inf", "pg"),
             ("rpca.lambda = inf", "rpca"),
+            ("pg.seed = -1", "pg"),
         ],
     )
     def test_solver_ranges_checked_by_their_configs(self, line, section):
@@ -215,6 +218,23 @@ class TestGen:
         assert main(["gen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "rpca: tol must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, flags, named",
+        [
+            ("pg.seed = -1", [], "pg: seed"),
+            ("model.seed = -1", [], "model.seed"),
+            ("", ["--seed", "-2"], "--seed"),
+        ],
+    )
+    def test_negative_seed_named_before_stage1(
+        self, tmp_path, monkeypatch, capsys, line, flags, named
+    ):
+        monkeypatch.setattr(pipeline, "decompose", None)  # any Stage 1 call would fail
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        assert main(["ablate-threshold", "--config", str(cfg), "--quiet"] + flags) == 2
+        assert f"error: {named}" in capsys.readouterr().err
 
 
 class TestDecompose:

@@ -1,5 +1,7 @@
 """End-to-end orchestration: budgets, reports, modes, baselines, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
     MODES,
     CompressionJob,
+    _stage1,
     ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
@@ -126,27 +129,39 @@ class TestFullBudget:
             np.testing.assert_array_equal(lc[i].mask, bc[i].mask)
 
 
+@st.composite
+def below_cheapest_jobs(draw):
+    """Small planted chains, with or without sparse outliers and with some
+    layers all zero, at a budget fraction that puts the budget of the job,
+    and so of every budget group, below its cheapest candidate."""
+    dims = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4))
+    shapes = list(zip(dims[:-1], dims[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    outlier_frac = draw(st.sampled_from([0.0, 0.2]))
+    planted = planted_model(shapes, rng, ranks=[1] * len(shapes), outlier_frac=outlier_frac)
+    zeroed = draw(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)))
+    model = ToyModel(layers=[0.0 * w if z else w for w, z in zip(planted.layers, zeroed)])
+    job = CompressionJob(
+        model=model, calib=gen_calibration(model, 4, 0.0, rng), mode=draw(st.sampled_from(MODES))
+    )
+    costs = np.concatenate([pool.costs for pool in _stage1(job)[1].values()])
+    cheapest = int(costs.min()) if costs.size else model.dense_params
+    budget = draw(st.integers(0, min(cheapest, model.dense_params) - 1))
+    return replace(job, budget_fraction=(budget + 0.5) / model.dense_params)
+
+
 class TestBudgetTooSmall:
-    def check_triplet_only_pool_below_cheapest(self, rng, mode):
-        model = planted_model([(24, 16)], rng, ranks=[1], outlier_frac=0.0)
-        calib = gen_calibration(model, 16, 0.0, rng)
-        job = CompressionJob(model=model, calib=calib, budget_fraction=0.02, mode=mode)
+    @given(job=below_cheapest_jobs())
+    def test_budget_below_cheapest_keeps_nothing(self, job):
+        pools = _stage1(job)[1]
         report, compressed = run(job)
-        # budget 7 cannot afford the only candidate kind (cost 40)
-        assert report.budget == 7
-        assert report.budget_too_small is True
         assert report.used_cost == 0
-        assert report.rank_distribution == [0]
+        assert report.rank_distribution == [0] * len(pools)
+        assert all(not layer.mask.any() for layer in compressed.values())
         assert report.history == []
-        np.testing.assert_array_equal(compressed[0].mask, 0)
-        expected = float(np.mean(np.sum(calib.targets**2, axis=1)))
+        assert report.budget_too_small == any(pool.size for pool in pools.values())
+        expected = float(np.mean(np.sum(job.calib.targets**2, axis=1)))
         assert report.final_loss == pytest.approx(expected, rel=1e-12)
-
-    def test_triplet_only_pool_below_cheapest(self, rng):
-        self.check_triplet_only_pool_below_cheapest(rng, "global")
-
-    def test_sequential_triplet_only_pool_below_cheapest(self, rng):
-        self.check_triplet_only_pool_below_cheapest(rng, "sequential")
 
 
 @st.composite
@@ -186,7 +201,7 @@ def reference_threshold_masks(job, components):
         res = decompose(w, job.rpca_config)
         pool = build_pool(i, res.factors, res.s)
         masks[i] = np.zeros(pool.size, dtype=np.int8)
-        for k, sigma in enumerate(pool.triplet_sigma):
+        for k, sigma in enumerate(pool.svd.sigma):
             candidates.append((i, k, "low_rank_only", float(sigma), pool.rows + pool.cols))
         for k, value in enumerate(pool.entry_values):
             candidates.append((i, pool.n_triplets + k, "sparse_only", abs(float(value)), 1))

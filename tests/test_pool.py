@@ -37,7 +37,7 @@ class TestBuildPool:
         pool = build_pool("layer", svd(l), s)
         assert pool.n_triplets == 2
         assert pool.size == 9
-        assert pool.triplet_index.size == 2
+        assert pool.svd.u.shape == (10, 2) and pool.svd.v.shape == (6, 2)
         assert all(c == 16 for c in pool.costs[:2])
         assert pool.entry_values.size == 7
         assert all(c == 1 for c in pool.costs[2:])
@@ -63,7 +63,7 @@ class TestBuildPool:
         s[0, 5] = -2.0
         s[0, 2] = 2.0
         pool = build_pool(0, svd(np.zeros((3, 6))), s)
-        assert list(zip(pool.entry_rows, pool.entry_cols)) == [(0, 2), (0, 5), (1, 3)]
+        assert list(zip(*np.divmod(pool.entry_flat, pool.cols))) == [(0, 2), (0, 5), (1, 3)]
 
     def test_recounts_match_decomposition_diagnostics(self, rng):
         w, _, _ = planted_matrix(30, 20, 2, rng)
@@ -81,10 +81,10 @@ class TestBuildPool:
     def test_deterministic(self):
         l, s = rank2_plus_entries()
         p1, p2 = build_pool(0, svd(l), s), build_pool(0, svd(l), s)
-        for name in ("costs", "magnitudes", "triplet_index", "entry_rows", "entry_cols"):
+        for name in ("costs", "magnitudes", "entry_flat"):
             assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
         assert p1.entry_values.tobytes() == p2.entry_values.tobytes()
-        assert p1.triplet_sigma.tobytes() == p2.triplet_sigma.tobytes()
+        assert p1.svd.sigma.tobytes() == p2.svd.sigma.tobytes()
 
 
 class TestDegenerateLayers:
