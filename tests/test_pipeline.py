@@ -163,6 +163,27 @@ class TestBudgetTooSmall:
         expected = float(np.mean(np.sum(job.calib.targets**2, axis=1)))
         assert report.final_loss == pytest.approx(expected, rel=1e-12)
 
+    def check_triplet_only_pool_below_cheapest(self, rng, mode):
+        model = planted_model([(24, 16)], rng, ranks=[1], outlier_frac=0.0)
+        calib = gen_calibration(model, 16, 0.0, rng)
+        job = CompressionJob(model=model, calib=calib, budget_fraction=0.02, mode=mode)
+        report, compressed = run(job)
+        # budget 7 cannot afford the only candidate kind (cost 40)
+        assert report.budget == 7
+        assert report.budget_too_small is True
+        assert report.used_cost == 0
+        assert report.rank_distribution == [0]
+        assert report.history == []
+        np.testing.assert_array_equal(compressed[0].mask, 0)
+        expected = float(np.mean(np.sum(calib.targets**2, axis=1)))
+        assert report.final_loss == pytest.approx(expected, rel=1e-12)
+
+    def test_triplet_only_pool_below_cheapest(self, rng):
+        self.check_triplet_only_pool_below_cheapest(rng, "global")
+
+    def test_sequential_triplet_only_pool_below_cheapest(self, rng):
+        self.check_triplet_only_pool_below_cheapest(rng, "sequential")
+
 
 @st.composite
 def zero_size_jobs(draw):
