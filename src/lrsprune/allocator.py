@@ -21,13 +21,13 @@ import numpy as np
 
 PROB_CLIP = 1e-6  # gradient clearance from the hard 0/1 boundary; sampling is exact
 INITIAL_PROB = 0.5  # every candidate's retention probability before the projection
+EPSILON = 1e-8  # the eps of the score-function gradient's denominator
 
 
 @dataclass
 class PolicyGradientConfig:
     learning_rate: float = 0.05
     baseline_beta: float = 0.9
-    epsilon: float = 1e-8
     iterations: int = 3  # outer passes over the calibration set
     window: int = 5  # recent losses averaged into the baseline signal
     seed: int = 0
@@ -37,8 +37,6 @@ class PolicyGradientConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.baseline_beta < 1.0:
             raise ValueError("baseline_beta must lie in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.window < 1:
@@ -97,7 +95,7 @@ def reinforce_step(
     signal = sum(state.recent_losses) / len(state.recent_losses)
     state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
     advantage = loss - state.baseline
-    grad = log_prob_grad(bits, np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP), config.epsilon)
+    grad = log_prob_grad(bits, np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP), EPSILON)
     state.probs = project_to_budget(
         probs - config.learning_rate * advantage * grad, state.costs, state.budget
     )

@@ -218,13 +218,12 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _common(sub, out_required: bool = False, with_out: bool = True) -> None:
+def _common(sub, out_required: bool = False) -> None:
     sub.add_argument("--config", metavar="PATH", default=None, help="job configuration file")
     sub.add_argument("--seed", type=int, default=None, help="override model.seed and pg.seed")
-    if with_out:
-        sub.add_argument(
-            "--out", metavar="DIR", required=out_required, default=None, help="output directory"
-        )
+    sub.add_argument(
+        "--out", metavar="DIR", required=out_required, default=None, help="output directory"
+    )
     sub.add_argument("--quiet", action="store_true", help="suppress normal output")
 
 

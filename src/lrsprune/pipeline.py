@@ -2,21 +2,24 @@
 
 Stage 1 splits every layer into low-rank plus sparse parts and
 enumerates the prunable candidates. Stage 2 is one loop over budget groups
-of layers: each group learns retention probabilities for its candidates
-jointly under the budget ``floor(budget_fraction * dense parameter count of
-the group)``, freezes a hard top-probability selection, and is rebuilt from
-it for the groups after it. Global mode has one group of every layer,
-sequential mode one group per layer in order. The survivors are then
-factorized.
+of layers, the same for every selection: each group gets the budget
+``floor(budget_fraction * dense parameter count of the group)``, a chooser
+picks its mask (learned retention probabilities frozen into a hard
+top-probability selection, or a magnitude fill), and the group is rebuilt
+from it for the groups after it. Global mode has one group of every layer,
+sequential mode one group per layer in order. Reports are built from the
+masks; the survivors are factorized only where the factors are returned.
 
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
-selection and the magnitude-threshold baselines all search inside them, so
-``ablate_threshold`` computes it once for all four of its rows.
+selection and the magnitude-threshold baselines all search inside them, in
+the same budget groups, so ``ablate_threshold`` computes it once for all
+four of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -110,37 +113,32 @@ def _budget(job: CompressionJob, layers) -> int:
 
 
 def _stage1(job: CompressionJob):
-    """Decomposition and candidate pool of every layer, each keyed by layer index."""
+    """Decomposition and candidate pool of every layer, each keyed by layer
+    index, with the dense and the unpruned-decomposition task losses."""
     results = {i: decompose(w, job.rpca_config) for i, w in enumerate(job.model.layers)}
     pools = {i: build_pool(i, res.factors, res.s) for i, res in results.items()}
-    return results, pools
-
-
-def _slices(pools, group) -> dict[int, slice]:
-    """Span of each layer's candidates in the group's concatenated mask."""
-    ends = np.cumsum([0] + [pools[i].size for i in group])
-    return {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
-
-
-def _split(mask, pools, group) -> dict[int, np.ndarray]:
-    """Per-layer masks of a mask over the group's concatenated candidates."""
-    return {i: mask[sl].copy() for i, sl in _slices(pools, group).items()}
+    ones = {i: np.ones(pool.size, dtype=np.int8) for i, pool in pools.items()}
+    dense_loss = forward_loss(job.model, job.calib)
+    return results, pools, dense_loss, loss_with_masks(job.model, pools, ones, job.calib)
 
 
 class _MaskedLossEvaluator:
     """Task loss of a mask over a group's concatenated candidates, with the
-    layers outside the group at ``weights``.
+    layers outside the group at ``weights``; every loss it returns is
+    appended to ``history``.
 
     Caches the rebuilt weight per layer and only re-reconstructs layers
     whose mask bits changed; values are identical to a full rebuild.
     """
 
-    def __init__(self, job, weights, pools, group):
+    def __init__(self, job, weights, pools, group, history):
         self.activation = job.model.activation
         self.calib = job.calib
         self.pools = pools
         self.weights = list(weights)
-        self.slices = _slices(pools, group)
+        self.history = history
+        ends = np.cumsum([0] + [pools[i].size for i in group])
+        self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
         self.costs = np.concatenate([pools[i].costs for i in group])
         self._keys = dict.fromkeys(group)
 
@@ -151,107 +149,105 @@ class _MaskedLossEvaluator:
             if key != self._keys[i]:
                 self.weights[i] = reconstruct(self.pools[i], sub)
                 self._keys[i] = key
-        return _task_loss(self.weights, self.activation, self.calib)
+        loss = _task_loss(self.weights, self.activation, self.calib)
+        self.history.append(loss)
+        return loss
 
 
-def _learn_masks(evaluator, budget, job, rng, history):
-    """Shared optimization loop: sample, score, reinforce, finalize.
-
-    Returns (mask, budget_too_small); a budget below the cheapest candidate
-    keeps nothing, and is too small if the pool has any candidate.
-    """
-    costs = evaluator.costs
-    if costs.size == 0 or budget < costs.min():
-        return np.zeros(costs.size, dtype=np.int8), costs.size > 0
-    pg = job.pg_config
-    state = init_state(costs, budget)
+def _learn_masks(evaluator, budget, pg, rng) -> np.ndarray:
+    """Learned chooser: sample, score, reinforce, finalize."""
+    state = init_state(evaluator.costs, budget)
     for _ in range(pg.iterations * evaluator.calib.size):
         bits = sample_mask(state, rng)
-        loss = evaluator.loss(bits)
-        history.append(loss)
-        reinforce_step(state, bits, loss, pg)
-    return finalize_masks(state), False
+        reinforce_step(state, bits, evaluator.loss(bits), pg)
+    return finalize_masks(state)
 
 
-def _make_report(job, results, pools, masks, budget, history, too_small) -> tuple:
-    model, calib = job.model, job.calib
-    dense_loss = forward_loss(model, calib)
-    ones = {i: np.ones(pool.size, dtype=np.int8) for i, pool in pools.items()}
-    rpca_loss = loss_with_masks(model, pools, ones, calib)
-    final_loss = loss_with_masks(model, pools, masks, calib)
-    compressed = {i: factorize(pool, masks[i]) for i, pool in pools.items()}
+def _learner(job: CompressionJob):
+    """The learned chooser of a job; its generator runs on across groups."""
+    return partial(_learn_masks, pg=job.pg_config, rng=np.random.default_rng(job.pg_config.seed))
 
-    layers = []
-    for i, pool in pools.items():
-        res, lay = results[i], compressed[i]
-        layers.append(
-            LayerSummary(
-                layer_id=i,
-                rows=pool.rows,
-                cols=pool.cols,
-                rank_l=res.rank_l,
-                nnz_s=int(np.count_nonzero(res.s)),
-                sparsity_s=res.sparsity_s,
-                retained_rank=lay.retained_rank,
-                sparse_nnz=int(np.count_nonzero(lay.s_masked)),
-                cost=param_count(pool, masks[i]),
-            )
+
+def _magnitude_fill(evaluator, budget, components: str) -> np.ndarray:
+    """Threshold chooser: ``greedy_fill`` by descending magnitude over the
+    eligible candidate family, no learning."""
+    pools = [evaluator.pools[i] for i in evaluator.slices]
+    mags = np.concatenate([pool.magnitudes for pool in pools])
+    triplet = np.concatenate([np.arange(pool.size) < pool.n_triplets for pool in pools])
+    eligible = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
+    sub = np.flatnonzero(eligible[components])
+    mask = np.zeros(mags.size, dtype=np.int8)
+    mask[sub] = greedy_fill(mags[sub], evaluator.costs[sub], budget)
+    return mask
+
+
+def _select(job: CompressionJob, stage1, choose):
+    """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> mask``.
+
+    Layers are chosen in budget groups, in order: one group of every layer
+    in global mode, one group per layer in sequential mode. Each group has
+    its own budget; one below its cheapest candidate keeps nothing, and is
+    too small if the group has any candidate. Each group is scored with the
+    layers of earlier groups rebuilt from their final masks; the report's
+    budget is the sum over groups.
+
+    Returns:
+        (CompressionReport, dict layer index -> mask)
+    """
+    results, pools, dense_loss, rpca_loss = stage1
+    layers = list(pools)
+    groups = [layers] if job.mode == "global" else [[i] for i in layers]
+    weights = list(job.model.layers)
+    history: list[float] = []
+    masks: dict[int, np.ndarray] = {}
+    budget, too_small = 0, False
+    for group in groups:
+        evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
+        costs, group_budget = evaluator.costs, _budget(job, group)
+        budget += group_budget
+        if costs.size == 0 or group_budget < costs.min():
+            too_small = too_small or costs.size > 0
+            mask = np.zeros(costs.size, dtype=np.int8)
+        else:
+            mask = choose(evaluator, group_budget)
+        for i, sl in evaluator.slices.items():
+            masks[i] = mask[sl]
+            weights[i] = reconstruct(pools[i], masks[i])
+
+    summaries = [
+        LayerSummary(
+            layer_id=i,
+            rows=pool.rows,
+            cols=pool.cols,
+            rank_l=results[i].rank_l,
+            nnz_s=int(np.count_nonzero(results[i].s)),
+            sparsity_s=results[i].sparsity_s,
+            retained_rank=int(np.count_nonzero(masks[i][: pool.n_triplets])),
+            sparse_nnz=int(np.count_nonzero(masks[i][pool.n_triplets :])),
+            cost=param_count(pool, masks[i]),
         )
+        for i, pool in pools.items()
+    ]
     report = CompressionReport(
-        layers=layers,
+        layers=summaries,
         budget=budget,
-        used_cost=sum(ls.cost for ls in layers),
+        used_cost=sum(ls.cost for ls in summaries),
         dense_loss=dense_loss,
         rpca_loss=rpca_loss,
-        final_loss=final_loss,
-        rank_distribution=[ls.retained_rank for ls in layers],
+        final_loss=_task_loss(weights, job.model.activation, job.calib),
+        rank_distribution=[ls.retained_rank for ls in summaries],
         history=history,
         budget_too_small=too_small,
         mode=job.mode,
     )
-    return report, compressed
+    return report, masks
 
 
-def _learned(job: CompressionJob, results, pools):
-    """Stage 2 learned selection over a computed Stage 1.
-
-    Layers are learned in budget groups, in order: one group of every layer
-    in global mode, one group per layer in sequential mode. Each group has
-    its own budget and is scored with the layers of earlier groups rebuilt
-    from their final masks; the report's budget is the sum over groups.
-    """
-    layers = list(pools)
-    groups = [layers] if job.mode == "global" else [[i] for i in layers]
-    rng = np.random.default_rng(job.pg_config.seed)
-    weights = list(job.model.layers)
-    history: list[float] = []
-    masks: dict[int, np.ndarray] = {}
-    too_small = False
-    for group in groups:
-        evaluator = _MaskedLossEvaluator(job, weights, pools, group)
-        final, small = _learn_masks(evaluator, _budget(job, group), job, rng, history)
-        too_small = too_small or small
-        masks.update(_split(final, pools, group))
-        if group is not groups[-1]:
-            for i in group:
-                weights[i] = reconstruct(pools[i], masks[i])
-    budget = sum(_budget(job, group) for group in groups)
-    return _make_report(job, results, pools, masks, budget, history, too_small)
-
-
-def _threshold(job: CompressionJob, results, pools, components: str):
-    """Magnitude-ranked greedy selection over a computed Stage 1: one group
-    of every layer at the global budget."""
-    group = list(pools)
-    budget = _budget(job, group)
-    costs = np.concatenate([pools[i].costs for i in group])
-    mags = np.concatenate([pools[i].magnitudes for i in group])
-    triplet = np.concatenate([np.arange(pools[i].size) < pools[i].n_triplets for i in group])
-    eligible = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
-    sub = np.flatnonzero(eligible[components])
-    mask = np.zeros(costs.size, dtype=np.int8)
-    mask[sub] = greedy_fill(mags[sub], costs[sub], budget)
-    return _make_report(job, results, pools, _split(mask, pools, group), budget, [], False)
+def _factorized(job: CompressionJob, choose):
+    """Stage 1, then the selection of ``choose`` with every layer factorized."""
+    stage1 = _stage1(job)
+    report, masks = _select(job, stage1, choose)
+    return report, {i: factorize(pool, masks[i]) for i, pool in stage1[1].items()}
 
 
 def run(job: CompressionJob):
@@ -260,34 +256,36 @@ def run(job: CompressionJob):
     Returns:
         (CompressionReport, dict layer index -> CompressedLayer)
     """
-    return _learned(job, *_stage1(job))
+    return _factorized(job, _learner(job))
 
 
 def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
-    """Magnitude-ranked hard selection at the same budget, no learning.
+    """Magnitude-ranked hard selection in the same budget groups, no learning.
 
-    Candidates are visited by descending magnitude (singular value for
-    triplets, absolute value for sparse entries) by the same greedy fill as
-    the learned selection's final pass. ``components`` restricts
-    eligibility to one candidate family: "both", "low_rank_only" or
-    "sparse_only".
+    In each budget group of the learned selection, candidates are visited by
+    descending magnitude (singular value for triplets, absolute value for
+    sparse entries) by the same greedy fill as the learned selection's final
+    pass. ``components`` restricts eligibility to one candidate family:
+    "both", "low_rank_only" or "sparse_only".
     """
     if components not in COMPONENT_CHOICES:
         raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
-    return _threshold(job, *_stage1(job), components)
+    return _factorized(job, partial(_magnitude_fill, components=components))
 
 
 def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:
-    """The learned selection and the three threshold baselines from one Stage 1.
+    """The learned selection and the three threshold baselines from one
+    Stage 1, all in the same budget groups.
 
     Rows are ("learned", "threshold", "low_rank_only", "sparse_only"), each
     report equal to its ``run`` or ``heuristic_threshold_baseline`` result.
     """
     stage1 = _stage1(job)
-    rows = [("learned", _learned(job, *stage1)[0])]
+    rows = [("learned", _select(job, stage1, _learner(job))[0])]
     for components in COMPONENT_CHOICES:
         variant = "threshold" if components == "both" else components
-        rows.append((variant, _threshold(job, *stage1, components)[0]))
+        choose = partial(_magnitude_fill, components=components)
+        rows.append((variant, _select(job, stage1, choose)[0]))
     return rows
 
 

@@ -7,6 +7,7 @@ are sized for a laptop; seeds are frozen so every run sees the same data.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from lrsprune import (
     run,
 )
 from lrsprune.cli import main
-from lrsprune.pipeline import _learned, _stage1, _threshold
+from lrsprune.pipeline import _learner, _magnitude_fill, _select, _stage1
 
 
 def announce(name: str, detail: str) -> None:
@@ -164,14 +165,16 @@ def test_learned_vs_threshold_medians():
         stage1 = _stage1(base)
         learned = []
         for seed in range(10):
-            report, _ = _learned(default_job(pg_seed=seed, budget_fraction=fraction), *stage1)
+            job = default_job(pg_seed=seed, budget_fraction=fraction)
+            report, _ = _select(job, stage1, _learner(job))
             learned.append(report.final_loss)
         med_learned = float(np.median(learned))
         # the heuristic rows hold no sampled state, so one evaluation
         # per variant is already the 10-seed median
-        med_threshold = _threshold(base, *stage1, "both")[0].final_loss
-        med_low_rank = _threshold(base, *stage1, "low_rank_only")[0].final_loss
-        med_sparse = _threshold(base, *stage1, "sparse_only")[0].final_loss
+        med_threshold, med_low_rank, med_sparse = (
+            _select(base, stage1, partial(_magnitude_fill, components=components))[0].final_loss
+            for components in ("both", "low_rank_only", "sparse_only")
+        )
         assert med_learned <= med_threshold
         assert med_low_rank >= med_learned
         assert med_sparse >= med_learned

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from lrsprune.allocator import (
+    EPSILON,
     PolicyGradientConfig,
     RetentionState,
     finalize_masks,
@@ -95,10 +96,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PolicyGradientConfig(baseline_beta=1.0)
         with pytest.raises(ValueError):
-            PolicyGradientConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PolicyGradientConfig(epsilon=float("inf"))
-        with pytest.raises(ValueError):
             PolicyGradientConfig(iterations=0)
         with pytest.raises(ValueError):
             PolicyGradientConfig(window=0)
@@ -166,7 +163,7 @@ class TestReinforceStep:
         reinforce_step(state, np.array([1]), 1.0, cfg)
         assert state.baseline == pytest.approx(0.1, abs=1e-15)
         # advantage 0.9 pushed the kept-candidate probability down
-        expected = 0.5 - cfg.learning_rate * 0.9 * (0.5 / (0.25 + cfg.epsilon))
+        expected = 0.5 - cfg.learning_rate * 0.9 * (0.5 / (0.25 + EPSILON))
         assert state.probs[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_advantage_leaves_probs_unchanged(self):

@@ -378,19 +378,25 @@ class TestAblateThresholdCommand:
         assert variants == ["learned", "threshold", "low_rank_only", "sparse_only"]
 
     def test_stage1_once_per_layer(self, tmp_path, monkeypatch):
-        calls = []
-        real = pipeline.decompose
+        calls = {"decompose": 0, "forward_loss": 0, "factorize": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(pipeline, name)
 
-        monkeypatch.setattr(pipeline, "decompose", counting)
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("budget.fraction = 0.15\nmode = sequential\n")
         argv = ["ablate-threshold", "--config", str(cfg), "--quiet"]
         assert main(argv) == 0
-        assert len(calls) == 3
+        # one Stage 1 with its dense loss; the rows keep reports, not factors
+        assert calls == {"decompose": 3, "forward_loss": 1, "factorize": 0}
 
     def test_full_budget_learned_equals_threshold(self, tmp_path):
         cfg = tmp_path / "full.cfg"

@@ -249,14 +249,21 @@ class TestThresholdBaselineReference:
 
 class TestSequentialMode:
     def test_per_layer_budgets(self):
+        shapes = ((32, 24), (24, 24), (24, 16))
         job = default_job(calib_n=32, mode="sequential")
         report, _ = run(job)
         assert report.mode == "sequential"
-        per_layer = [int(np.floor(0.5 * (m * n))) for m, n in ((32, 24), (24, 24), (24, 16))]
+        per_layer = [int(np.floor(0.5 * (m * n))) for m, n in shapes]
         assert report.budget == sum(per_layer)
         for ls, cap in zip(report.layers, per_layer):
             assert ls.cost <= cap
         assert report.used_cost <= report.budget
+        # the threshold rows bind the learned row's per-layer budgets too
+        per_layer = [int(np.floor(0.15 * (m * n))) for m, n in shapes]
+        for variant, report in ablate_threshold(replace(job, budget_fraction=0.15)):
+            assert report.budget == sum(per_layer), variant
+            for ls, cap in zip(report.layers, per_layer):
+                assert ls.cost <= cap, (variant, ls.layer_id)
 
 
 class TestNearOracle:
