@@ -168,28 +168,34 @@ def _learner(job: CompressionJob):
     return partial(_learn_masks, pg=job.pg_config, rng=np.random.default_rng(job.pg_config.seed))
 
 
+def _eligible(evaluator, components: str) -> np.ndarray:
+    """Positions of the group's candidates in the family ``components``."""
+    pools = [evaluator.pools[i] for i in evaluator.slices]
+    triplet = np.concatenate([np.arange(pool.size) < pool.n_triplets for pool in pools])
+    family = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
+    return np.flatnonzero(family[components])
+
+
 def _magnitude_fill(evaluator, budget, components: str) -> np.ndarray:
     """Threshold chooser: ``greedy_fill`` by descending magnitude over the
     eligible candidate family, no learning."""
-    pools = [evaluator.pools[i] for i in evaluator.slices]
-    mags = np.concatenate([pool.magnitudes for pool in pools])
-    triplet = np.concatenate([np.arange(pool.size) < pool.n_triplets for pool in pools])
-    eligible = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
-    sub = np.flatnonzero(eligible[components])
+    mags = np.concatenate([evaluator.pools[i].magnitudes for i in evaluator.slices])
+    sub = _eligible(evaluator, components)
     mask = np.zeros(mags.size, dtype=np.int8)
     mask[sub] = greedy_fill(mags[sub], evaluator.costs[sub], budget)
     return mask
 
 
-def _select(job: CompressionJob, stage1, choose):
+def _select(job: CompressionJob, stage1, choose, components: str = "both"):
     """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> mask``.
 
     Layers are chosen in budget groups, in order: one group of every layer
     in global mode, one group per layer in sequential mode. Each group has
-    its own budget; one below its cheapest candidate keeps nothing, and is
-    too small if the group has any candidate. Each group is scored with the
-    layers of earlier groups rebuilt from their final masks; the report's
-    budget is the sum over groups.
+    its own budget; one below the cheapest candidate of the chooser's
+    family ``components`` keeps nothing, and is too small if the group has
+    any candidate of that family. Each group is scored with the layers of
+    earlier groups rebuilt from their final masks; the report's budget is
+    the sum over groups.
 
     Returns:
         (CompressionReport, dict layer index -> mask)
@@ -205,8 +211,9 @@ def _select(job: CompressionJob, stage1, choose):
         evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
         costs, group_budget = evaluator.costs, _budget(job, group)
         budget += group_budget
-        if costs.size == 0 or group_budget < costs.min():
-            too_small = too_small or costs.size > 0
+        eligible = costs[_eligible(evaluator, components)]
+        if eligible.size == 0 or group_budget < eligible.min():
+            too_small = too_small or eligible.size > 0
             mask = np.zeros(costs.size, dtype=np.int8)
         else:
             mask = choose(evaluator, group_budget)
@@ -243,10 +250,10 @@ def _select(job: CompressionJob, stage1, choose):
     return report, masks
 
 
-def _factorized(job: CompressionJob, choose):
+def _factorized(job: CompressionJob, choose, components: str = "both"):
     """Stage 1, then the selection of ``choose`` with every layer factorized."""
     stage1 = _stage1(job)
-    report, masks = _select(job, stage1, choose)
+    report, masks = _select(job, stage1, choose, components)
     return report, {i: factorize(pool, masks[i]) for i, pool in stage1[1].items()}
 
 
@@ -270,7 +277,7 @@ def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
     """
     if components not in COMPONENT_CHOICES:
         raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
-    return _factorized(job, partial(_magnitude_fill, components=components))
+    return _factorized(job, partial(_magnitude_fill, components=components), components)
 
 
 def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:
@@ -285,7 +292,7 @@ def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]
     for components in COMPONENT_CHOICES:
         variant = "threshold" if components == "both" else components
         choose = partial(_magnitude_fill, components=components)
-        rows.append((variant, _select(job, stage1, choose)[0]))
+        rows.append((variant, _select(job, stage1, choose, components)[0]))
     return rows
 
 

@@ -15,14 +15,19 @@ The SVT step computes only the triplets that can survive (Lin, Chen & Ma
 2010, section 4). The predicted survivor count ``k`` starts at INITIAL_RANK;
 with ``svp`` survivors it becomes ``svp + 1`` if ``svp < k``, else ``svp``
 plus RANK_STEP of the smaller dimension. A randomized range finder (Halko,
-Martinsson & Tropp 2011) with OVERSAMPLE extra columns, POWER_ITERS QR-
-orthonormalized power iterations and a generator seeded in ``decompose``
-yields the top triplets. Exactness rule: a step is accepted only when the
-first computed value at or below the threshold stays there when widened by
-the residual of its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE``
-reaches half the smaller dimension the step takes the full SVD, so small
-layers always take the exact path. ``RpcaResult.factors`` holds the last
-step's shrunk factorization, whose product is ``l``.
+Martinsson & Tropp 2011) with OVERSAMPLE extra columns, POWER_ITERS (one)
+QR-orthonormalized power iteration and a generator seeded in ``decompose``
+yields the top triplets. It is warm-started (ibid., section 4.5): the right
+block of the last attempt, all its columns rather than the shrunk survivors,
+replaces the leading columns of the Gaussian test block, both in the next
+attempt of a step and in the first attempt of the next ADMM iteration; the
+generator still draws a full block, so its stream does not depend on the
+start. Exactness rule: a step is accepted only when the first computed
+value at or below the threshold stays there when widened by the residual of
+its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE`` reaches half the
+smaller dimension the step takes the full SVD, so small layers always take
+the exact path. ``RpcaResult.factors`` holds the last step's shrunk
+factorization, whose product is ``l``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
 INITIAL_RANK = 10  # predicted SVT rank of the first iteration
 RANK_STEP = 0.05  # rank growth, as a fraction of the smaller dimension
 OVERSAMPLE = 10  # range-finder columns beyond the predicted rank
-POWER_ITERS = 2  # range-finder power iterations
+POWER_ITERS = 1  # range-finder power iterations
 
 
 class NonConvergenceError(Exception):
@@ -104,9 +109,19 @@ def soft_threshold(x, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def _top_triplets(a: np.ndarray, k: int, rng: np.random.Generator) -> SvdFactorization:
-    """Leading ``k`` singular triplets of ``a`` from a randomized range finder."""
-    q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], k)))[0]
+def _top_triplets(
+    a: np.ndarray, k: int, rng: np.random.Generator, start: np.ndarray | None = None
+) -> SvdFactorization:
+    """Leading ``k`` singular triplets of ``a`` from a randomized range finder.
+
+    The leading columns of ``start``, if given, replace the first columns of
+    the Gaussian test block, which still draws ``(cols, k)`` numbers.
+    """
+    block = rng.standard_normal((a.shape[1], k))
+    if start is not None:
+        j = min(k, start.shape[1])
+        block[:, :j] = start[:, :j]
+    q = np.linalg.qr(a @ block)[0]
     for _ in range(POWER_ITERS):
         q = np.linalg.qr(a.T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
@@ -114,32 +129,41 @@ def _top_triplets(a: np.ndarray, k: int, rng: np.random.Generator) -> SvdFactori
     return SvdFactorization(u=q @ f.u, sigma=f.sigma, v=f.v)
 
 
-def svt(a, tau: float, k: int, rng: np.random.Generator | None) -> SvdFactorization:
+def svt(
+    a, tau: float, k: int, rng: np.random.Generator | None, start: np.ndarray | None = None
+) -> tuple[SvdFactorization, np.ndarray]:
     """Singular value thresholding: the triplets of ``a`` above ``tau``, shrunk by ``tau``.
 
     ``k`` is the predicted number of survivors. While ``k + OVERSAMPLE`` stays
     below half the smaller dimension, the triplets come from the range finder
-    drawing on ``rng``, and ``k`` doubles until the first computed value at
-    or below ``tau`` stays there when widened by its residual; otherwise they
-    come from the full SVD, which needs no ``rng``.
+    drawing on ``rng`` and starting from ``start``, and ``k`` doubles, each
+    attempt starting from the right block of the one before, until the first
+    computed value at or below ``tau`` stays there when widened by its
+    residual; otherwise they come from the full SVD, which needs no ``rng``.
+
+    Returns:
+        (shrunk survivors, every right singular vector computed by the last
+        attempt), the latter a start block for the next call
     """
     a = as_matrix(a)
     while 2 * (k + OVERSAMPLE) < min(a.shape):
-        f = _top_triplets(a, k + OVERSAMPLE, rng)
+        f = _top_triplets(a, k + OVERSAMPLE, rng, start)
         svp = int(np.count_nonzero(f.sigma > tau))
         if svp < f.rank:
             r = a @ f.v[:, svp] - f.sigma[svp] * f.u[:, svp]
             if f.sigma[svp] + np.linalg.norm(r) <= tau:
                 break
         k *= 2
+        start = f.v
     else:
         f = svd(a)
     svp = int(np.count_nonzero(f.sigma > tau))
-    return SvdFactorization(
+    shrunk = SvdFactorization(
         u=np.ascontiguousarray(f.u[:, :svp]),
         sigma=svt_shrink(f.sigma[:svp], tau),
         v=np.ascontiguousarray(f.v[:, :svp]),
     )
+    return shrunk, f.v
 
 
 def update_s(w, l, y, mu: float, lam: float) -> np.ndarray:
@@ -194,11 +218,12 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     small = min(rows, cols)
     k = INITIAL_RANK
     rng = np.random.default_rng(0)
+    block = None  # right block of the last SVT step, the next one's start
     history: list[float] = []
     residual = float("inf")
     iterations = config.max_iters
     for it in range(1, config.max_iters + 1):
-        factors = svt(w - s + y / mu, 1.0 / mu, k, rng)
+        factors, block = svt(w - s + y / mu, 1.0 / mu, k, rng, block)
         svp = factors.rank
         k = svp + 1 if svp < k else min(svp + round(RANK_STEP * small), small)
         l = (factors.u * factors.sigma) @ factors.v.T

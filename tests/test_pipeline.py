@@ -11,6 +11,7 @@ from lrsprune.allocator import PolicyGradientConfig
 from lrsprune.calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
+    COMPONENT_CHOICES,
     MODES,
     CompressionJob,
     _stage1,
@@ -183,6 +184,21 @@ class TestBudgetTooSmall:
 
     def test_sequential_triplet_only_pool_below_cheapest(self, rng):
         self.check_triplet_only_pool_below_cheapest(rng, "sequential")
+
+    def test_low_rank_only_row_below_every_triplet(self):
+        # per-layer budgets 38/28/19 sit below the triplet costs 56/48/40;
+        # sparse entries (cost 1) still fit them
+        job = default_job(model_seed=0, budget_fraction=0.05, mode="sequential")
+        reports = {c: heuristic_threshold_baseline(job, c)[0] for c in COMPONENT_CHOICES}
+        low_rank = reports["low_rank_only"]
+        assert [ls.rows + ls.cols for ls in low_rank.layers] == [56, 48, 40]
+        assert low_rank.budget == 38 + 28 + 19
+        assert low_rank.used_cost == 0
+        assert low_rank.budget_too_small is True
+        assert reports["both"].budget_too_small is False
+        assert reports["sparse_only"].budget_too_small is False
+        rows = dict(ablate_threshold(job))
+        assert [rows[c].budget_too_small for c in ("low_rank_only", "sparse_only")] == [True, False]
 
 
 @st.composite

@@ -56,15 +56,25 @@ def full_svt(a, tau):
     return (u * np.maximum(sig - tau, 0.0)) @ vt
 
 
+def gapped_matrix(rng):
+    """A 200x160 matrix with 30 singular values in [2, 10] and 10 at 1e-3.
+
+    Returns (a, sigma)."""
+    u, _ = np.linalg.qr(rng.standard_normal((200, 40)))
+    v, _ = np.linalg.qr(rng.standard_normal((160, 40)))
+    sigma = np.concatenate([np.linspace(10.0, 2.0, 30), np.full(10, 1e-3)])
+    return (u * sigma) @ v.T, sigma
+
+
 @pytest.fixture
 def range_finder_calls(monkeypatch):
     """Counts the truncated steps, so a test can show it left the full-SVD path."""
     calls = []
     original = rpca._top_triplets
 
-    def counted(a, k, rng):
+    def counted(a, k, rng, start=None):
         calls.append(k)
-        return original(a, k, rng)
+        return original(a, k, rng, start)
 
     monkeypatch.setattr(rpca, "_top_triplets", counted)
     return calls
@@ -93,7 +103,7 @@ class TestShrinkage:
 
 def update_l(w, s, y, mu):
     """Low-rank step on the full-SVD path: SVT with threshold 1/mu of ``w - s + y/mu``."""
-    f = svt(w - s + y / mu, 1.0 / mu, min(w.shape), None)
+    f, _ = svt(w - s + y / mu, 1.0 / mu, min(w.shape), None)
     return (f.u * f.sigma) @ f.v.T
 
 
@@ -241,18 +251,22 @@ class TestDecompose:
 
 class TestTruncatedSvt:
     @pytest.mark.parametrize(
-        "make",
+        "make, retries",
         [
-            lambda rng: planted_spectrum_matrix(256, 256, 21, rng)[0],
-            lambda rng: planted_matrix(128, 96, 6, rng)[0],
+            (lambda rng: planted_spectrum_matrix(256, 256, 21, rng)[0], False),
+            (lambda rng: planted_matrix(128, 96, 6, rng)[0], False),
+            (lambda rng: planted_spectrum_matrix(192, 256, 16, rng)[0], True),
         ],
-        ids=["256x256-rank21", "128x96-rank6"],
+        ids=["256x256-rank21", "128x96-rank6", "192x256-rank16"],
     )
-    def test_matches_full_svd_ialm(self, make, rng, range_finder_calls):
+    def test_matches_full_svd_ialm(self, make, retries, rng, range_finder_calls):
         w = make(rng)
         res = decompose(w)
         iterations, rank_l, l, s = full_svd_ialm(w)
         assert len(range_finder_calls) >= res.iterations
+        if retries:
+            # more range-finder calls than SVT steps: some step doubled its k
+            assert len(range_finder_calls) > res.iterations
         assert res.iterations == iterations
         assert res.rank_l == rank_l
         assert np.array_equal(res.s != 0.0, s != 0.0)
@@ -261,15 +275,50 @@ class TestTruncatedSvt:
     def test_doubles_until_the_threshold_is_crossed(self, rng, range_finder_calls):
         # 30 survivors against a first guess of 4: 14, 18, 26 computed values
         # all lie above tau before 42 reach below it
-        u, _ = np.linalg.qr(rng.standard_normal((200, 40)))
-        v, _ = np.linalg.qr(rng.standard_normal((160, 40)))
-        sigma = np.concatenate([np.linspace(10.0, 2.0, 30), np.full(10, 1e-3)])
-        a = (u * sigma) @ v.T
-        f = svt(a, 1.0, 4, np.random.default_rng(1))
+        a, sigma = gapped_matrix(rng)
+        f, _ = svt(a, 1.0, 4, np.random.default_rng(1))
         assert range_finder_calls == [14, 18, 26, 42]
         assert f.rank == 30
         np.testing.assert_allclose(f.sigma, sigma[:30] - 1.0, rtol=0, atol=1e-10)
         np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 1.0), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("start", ["top-right-vectors", "unrelated"])
+    def test_start_block_keeps_the_survivors(self, start, rng):
+        a, sigma = gapped_matrix(rng)
+        if start == "top-right-vectors":
+            block = np.linalg.svd(a)[2][:40].T
+        else:
+            block, _ = np.linalg.qr(rng.standard_normal((160, 40)))
+        f, _ = svt(a, 1.0, 4, np.random.default_rng(1), block)
+        assert f.rank == 30
+        np.testing.assert_allclose(f.sigma, sigma[:30] - 1.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 1.0), rtol=0, atol=1e-10)
+
+    def test_start_block_draws_as_many_numbers(self, rng):
+        # the generator stream after a step does not depend on its start block
+        a = rng.standard_normal((60, 50))
+        start, _ = np.linalg.qr(rng.standard_normal((50, 5)))
+        cold, warm = np.random.default_rng(2), np.random.default_rng(2)
+        rpca._top_triplets(a, 12, cold)
+        rpca._top_triplets(a, 12, warm, start)
+        assert cold.random() == warm.random()
+
+    def test_each_attempt_starts_from_the_last_block(self, rng, monkeypatch):
+        # across doublings and ADMM iterations alike, every range-finder call
+        # after the first starts from the right block the call before returned
+        calls = []
+        original = rpca._top_triplets
+
+        def spy(a, k, rng, start=None):
+            f = original(a, k, rng, start)
+            calls.append((start, f.v))
+            return f
+
+        monkeypatch.setattr(rpca, "_top_triplets", spy)
+        res = decompose(planted_matrix(128, 96, 6, rng)[0])
+        assert len(calls) > res.iterations
+        assert calls[0][0] is None
+        assert all(start is v for (start, _), (_, v) in zip(calls[1:], calls))
 
     def test_flat_spectrum_is_not_truncated_early(self, rng):
         # no gap: the range finder's values near tau are unresolved, so the
@@ -277,13 +326,13 @@ class TestTruncatedSvt:
         a = rng.standard_normal((160, 120))
         sig = np.linalg.svd(a, compute_uv=False)
         tau = float(sig[39] + sig[40]) / 2
-        f = svt(a, tau, 10, np.random.default_rng(1))
+        f, _ = svt(a, tau, 10, np.random.default_rng(1))
         assert f.rank == 40
         np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, tau), rtol=0, atol=1e-10)
 
     def test_small_matrix_takes_the_full_svd(self, rng, range_finder_calls):
         a = rng.standard_normal((40, 30))
-        f = svt(a, 1.0, 5, None)
+        f, _ = svt(a, 1.0, 5, None)
         assert range_finder_calls == []
         np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 1.0), rtol=0, atol=1e-12)
 
