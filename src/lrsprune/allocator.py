@@ -95,7 +95,7 @@ def reinforce_step(
     signal = sum(state.recent_losses) / len(state.recent_losses)
     state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
     advantage = loss - state.baseline
-    grad = log_prob_grad(bits, np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP), EPSILON)
+    grad = log_prob_grad(bits, np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP), EPSILON)
     state.probs = project_to_budget(
         probs - config.learning_rate * advantage * grad, state.costs, state.budget
     )
@@ -121,13 +121,13 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     c = np.asarray(costs, dtype=np.float64)
     if s.ndim != 1 or s.shape != c.shape:
         raise ValueError("probs and costs must be flat vectors of equal length")
-    if np.any(c <= 0):
+    if (c <= 0).any():
         raise ValueError("candidate costs must be positive")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     budget = float(budget)
 
-    clipped = np.clip(s, 0.0, 1.0)
+    clipped = np.minimum(np.maximum(s, 0.0), 1.0)
     if float(c @ clipped) <= budget:
         return clipped
     if budget == 0.0:  # past the last breakpoint, where a rounded root may not reach
@@ -144,7 +144,7 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
         free = (x > 0.0) & ~upper
         if piece is not None and np.array_equal(free, piece[0]) and np.array_equal(upper, piece[1]):
             break  # nu is the root of its own piece
-        gap = float(c @ np.clip(x, 0.0, 1.0)) - budget
+        gap = float(c @ np.minimum(np.maximum(x, 0.0), 1.0)) - budget
         if gap == 0.0:
             break
         if gap > 0.0:
@@ -158,7 +158,7 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
             nu, piece = 0.5 * (lo + hi), None
     else:
         nu = hi  # feasible side of the final bracket
-    return np.clip(s - nu * c, 0.0, 1.0)
+    return np.minimum(np.maximum(s - nu * c, 0.0), 1.0)
 
 
 def greedy_fill(keys, costs, budget) -> np.ndarray:

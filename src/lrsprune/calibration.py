@@ -102,10 +102,15 @@ def gen_calibration(
     return CalibrationSet(inputs=x, targets=y)
 
 
+def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
+    """Mean over records of the squared error of the model outputs ``out``."""
+    diff = out - calib.targets
+    return float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / diff.shape[0])
+
+
 def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error of a weight stack."""
-    diff = _forward(weights, activation, calib.inputs) - calib.targets
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return _output_loss(_forward(weights, activation, calib.inputs), calib)
 
 
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:

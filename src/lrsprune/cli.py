@@ -15,7 +15,10 @@ file, 4 solver non-convergence, 5 filesystem error.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,13 +149,27 @@ def cmd_compress(args) -> int:
     model, calib = _read_model_dir(Path(args.model_dir))
     report, compressed = run(_job(config, model, calib))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i in sorted(compressed):
-        layer = compressed[i]
-        write_matrix(out / f"layer{i}.uprime.capm", layer.u_prime)
-        write_matrix(out / f"layer{i}.vprime.capm", layer.v_prime)
-        write_matrix(out / f"layer{i}.smasked.capm", layer.s_masked)
-    (out / "report.tsv").write_text(format_report(report))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # every output is written into a sibling temporary directory first, so a
+    # failure never leaves a partial output directory behind; the directory
+    # is made by mkdir, inside the private holder, to get the usual mode
+    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        tmp = holder / "out"
+        tmp.mkdir()
+        for i in sorted(compressed):
+            layer = compressed[i]
+            write_matrix(tmp / f"layer{i}.uprime.capm", layer.u_prime)
+            write_matrix(tmp / f"layer{i}.vprime.capm", layer.v_prime)
+            write_matrix(tmp / f"layer{i}.smasked.capm", layer.s_masked)
+        (tmp / "report.tsv").write_text(format_report(report))
+        if out.exists():
+            for path in sorted(tmp.iterdir()):
+                os.replace(path, out / path.name)
+        else:
+            tmp.rename(out)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
     _say(
         args,
         f"budget={report.budget} used={report.used_cost} "

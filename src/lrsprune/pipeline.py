@@ -34,6 +34,7 @@ from .allocator import (
 from .calibration import (
     CalibrationSet,
     ToyModel,
+    _output_loss,
     _task_loss,
     default_toy_model,
     factorize,
@@ -127,12 +128,15 @@ class _MaskedLossEvaluator:
     layers outside the group at ``weights``; every loss it returns is
     appended to ``history``.
 
-    Caches the rebuilt weight per layer and only re-reconstructs layers
-    whose mask bits changed; values are identical to a full rebuild.
+    Caches the rebuilt weight and the input activation of every layer. Only
+    layers whose mask bits changed are re-reconstructed, the forward pass
+    reruns from the first of them, and a mask equal to the last one returns
+    the last loss; values are identical to a full rebuild. The layers before
+    the group are forwarded once, on the first ``loss`` call.
     """
 
     def __init__(self, job, weights, pools, group, history):
-        self.activation = job.model.activation
+        self.relu = job.model.activation == "relu"
         self.calib = job.calib
         self.pools = pools
         self.weights = list(weights)
@@ -141,17 +145,32 @@ class _MaskedLossEvaluator:
         self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
         self.costs = np.concatenate([pools[i].costs for i in group])
         self._keys = dict.fromkeys(group)
+        self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
+        self._loss = None
 
     def loss(self, bits: np.ndarray) -> float:
+        first = None
         for i, sl in self.slices.items():
             sub = bits[sl]
             key = sub.tobytes()
             if key != self._keys[i]:
                 self.weights[i] = reconstruct(self.pools[i], sub)
                 self._keys[i] = key
-        loss = _task_loss(self.weights, self.activation, self.calib)
-        self.history.append(loss)
-        return loss
+                if first is None:
+                    first = i
+        if first is not None:
+            acts = self._acts
+            del acts[first + 1 :]
+            h, last = acts[-1], len(self.weights) - 1
+            for k in range(len(acts) - 1, last + 1):
+                h = h @ self.weights[k]
+                if k < last:
+                    if self.relu:
+                        h = np.maximum(h, 0.0)
+                    acts.append(h)
+            self._loss = _output_loss(h, self.calib)
+        self.history.append(self._loss)
+        return self._loss
 
 
 def _learn_masks(evaluator, budget, pg, rng) -> np.ndarray:

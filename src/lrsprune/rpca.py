@@ -141,6 +141,14 @@ def svt(
     computed value at or below ``tau`` stays there when widened by its
     residual; otherwise they come from the full SVD, which needs no ``rng``.
 
+    The acceptance rule certifies the survivor set, not the kept values: it
+    guarantees that no singular value above ``tau`` is missed, but the kept
+    triplets carry the range finder's error. On the first ADMM step of the
+    six planted 256x256 layers of model seeds 0 and 1, the kept singular
+    values lay up to 4.6e-4 from ``np.linalg.svd`` (1.8e-5 on the first layer
+    of seed 0), while the final ``L`` of such layers lies within 5e-9 of the
+    full-SVD inexact ALM's.
+
     Returns:
         (shrunk survivors, every right singular vector computed by the last
         attempt), the latter a start block for the next call

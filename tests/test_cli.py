@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrsprune import pipeline
+from lrsprune import cli, pipeline
 from lrsprune.cli import format_report, main
 from lrsprune.matio import (
     CONFIG_DEFAULTS,
@@ -314,6 +314,36 @@ class TestCompress:
         assert (out1 / "report.tsv").read_bytes() == (out2 / "report.tsv").read_bytes()
         for name in ("layer0.uprime.capm", "layer1.vprime.capm", "layer0.smasked.capm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_failed_write_leaves_no_output(self, tmp_path, tiny_config, model_dir, monkeypatch):
+        real, calls = cli.write_matrix, []
+
+        def third_fails(path, w):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real(path, w)
+
+        monkeypatch.setattr(cli, "write_matrix", third_fails)
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "z"
+        argv = ["compress", str(model_dir), "--config", str(tiny_config), "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 5
+        assert len(calls) == 3
+        assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_existing_output_files_replaced(self, tmp_path, tiny_config, model_dir):
+        out = tmp_path / "z"
+        out.mkdir()
+        (out / "report.tsv").write_text("stale\n")
+        (out / "keep.txt").write_text("unrelated\n")
+        argv = ["compress", str(model_dir), "--config", str(tiny_config), "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 0
+        assert (out / "report.tsv").read_text().startswith("layer\t")
+        assert (out / "keep.txt").read_text() == "unrelated\n"
+        assert read_matrix(out / "layer1.smasked.capm").shape == (8, 6)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["job.cfg", "model", "z"])
 
     def test_missing_model_dir_exit_code(self, tmp_path):
         assert main(["compress", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 5

@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrsprune import pipeline
 from lrsprune.allocator import PolicyGradientConfig
-from lrsprune.calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
+from lrsprune.calibration import (
+    CalibrationSet,
+    ToyModel,
+    _task_loss,
+    gen_calibration,
+    planted_model,
+    reconstruct,
+)
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
     COMPONENT_CHOICES,
     MODES,
     CompressionJob,
+    _MaskedLossEvaluator,
     _stage1,
     ablate_threshold,
     default_job,
@@ -280,6 +289,57 @@ class TestSequentialMode:
             assert report.budget == sum(per_layer), variant
             for ls, cap in zip(report.layers, per_layer):
                 assert ls.cost <= cap, (variant, ls.layer_id)
+
+
+# which layers of a group each step of the walk changes
+WALK = ("all", "last", "first", "none", "first", "none", "last", "all", "none")
+
+
+class TestIncrementalEvaluator:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loss_equals_full_rebuild(self, mode):
+        job = default_job(calib_n=32, mode=mode)
+        pools = _stage1(job)[1]
+        groups = [list(pools)] if mode == "global" else [[i] for i in pools]
+        rng = np.random.default_rng(7)
+        weights = list(job.model.layers)
+        for group in groups:
+            history = []
+            evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
+            masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
+            for step, change in enumerate(WALK):
+                picked = {"all": group, "last": group[-1:], "first": group[:1], "none": []}
+                for i in picked[change]:
+                    masks[i] = 1 - masks[i]  # one flipped bit may feed only dead units
+                cached = list(evaluator._acts)
+                loss = evaluator.loss(np.concatenate([masks[i] for i in group]))
+                full = list(weights)
+                for i in group:
+                    full[i] = reconstruct(pools[i], masks[i])
+                assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
+                assert len(history) == step + 1 and history[-1] == loss
+                # the inputs of the layers up to the first changed one are reused
+                first = picked[change][0] if picked[change] else len(weights) - 1
+                kept = evaluator._acts[: first + 1]
+                assert all(a is b for a, b in zip(kept, cached)), (group, step)
+                if step > 0:
+                    assert len(kept) == first + 1
+            for i in group:
+                weights[i] = full[i]
+
+    def test_threshold_rows_forward_nothing(self, monkeypatch):
+        made = []
+
+        class Recording(pipeline._MaskedLossEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
+        job = default_job(calib_n=32, mode="sequential", budget_fraction=0.15)
+        report, _ = heuristic_threshold_baseline(job)
+        assert len(made) == 3 and report.history == []
+        assert all(len(evaluator._acts) == 1 for evaluator in made)  # calib.inputs only
 
 
 class TestNearOracle:
