@@ -47,24 +47,39 @@ class PolicyGradientConfig:
 
 @dataclass
 class RetentionState:
+    """Retention probabilities of one budget group. The inputs are checked
+    here, once; the steps that update the state check nothing again."""
+
     probs: np.ndarray
     costs: np.ndarray
     budget: float
     baseline: float = 0.0
     recent_losses: list = field(default_factory=list, repr=False)
+    costs_sq: np.ndarray = field(init=False, repr=False)  # c * c, the projection's slopes
+
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=np.float64)
+        self.costs = c = np.asarray(self.costs, dtype=np.float64)
+        if c.ndim != 1:
+            raise ValueError("costs must be a flat vector")
+        if self.probs.shape != c.shape:
+            raise ValueError("probs and costs must be flat vectors of equal length")
+        if not (c > 0).all():
+            raise ValueError("candidate costs must be positive")
+        if not (math.isfinite(self.budget) and self.budget >= 0):
+            raise ValueError(f"budget must be finite and non-negative, got {self.budget}")
+        self.budget = float(self.budget)
+        self.costs_sq = c * c
 
 
 def init_state(pool_costs, budget) -> RetentionState:
     """Every probability at INITIAL_PROB, projected onto the budget."""
-    costs = np.asarray(pool_costs, dtype=np.float64)
-    if costs.ndim != 1:
-        raise ValueError("costs must be a flat vector")
-    if np.any(costs <= 0):
-        raise ValueError("candidate costs must be positive")
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    probs = project_to_budget(np.full(costs.shape, INITIAL_PROB), costs, budget)
-    return RetentionState(probs=probs, costs=costs, budget=float(budget))
+    costs = np.asarray(pool_costs, dtype=np.float64)
+    state = RetentionState(probs=np.full(costs.shape, INITIAL_PROB), costs=costs, budget=budget)
+    state.probs = _project(state.probs, state.costs, state.costs_sq, state.budget)
+    return state
 
 
 def sample_mask(state: RetentionState, rng: np.random.Generator) -> np.ndarray:
@@ -86,18 +101,21 @@ def reinforce_step(
 
     Fold the loss into the moving baseline, move every probability along the
     advantage-weighted score-function gradient and project back onto the
-    budget polytope. The state is updated in place and returned.
+    budget polytope. The state is updated in place and returned. A loss that
+    is not finite raises ValueError: it would turn every probability NaN.
     """
-    probs = np.asarray(state.probs, dtype=np.float64)
     loss = float(loss)
+    if not math.isfinite(loss):
+        raise ValueError(f"task loss must be finite, got {loss}")
+    probs = state.probs
     state.recent_losses.append(loss)
     del state.recent_losses[: -config.window]
     signal = sum(state.recent_losses) / len(state.recent_losses)
     state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
     advantage = loss - state.baseline
     grad = log_prob_grad(bits, np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP), EPSILON)
-    state.probs = project_to_budget(
-        probs - config.learning_rate * advantage * grad, state.costs, state.budget
+    state.probs = _project(
+        probs - config.learning_rate * advantage * grad, state.costs, state.costs_sq, state.budget
     )
     return state
 
@@ -116,49 +134,53 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     A step that leaves the bracket of the root, or a piece with an empty
     free set, is replaced by a bisection step. There is no tolerance: the
     result meets the budget up to the rounding of its arithmetic.
-    """
-    s = np.asarray(probs, dtype=np.float64)
-    c = np.asarray(costs, dtype=np.float64)
-    if s.ndim != 1 or s.shape != c.shape:
-        raise ValueError("probs and costs must be flat vectors of equal length")
-    if (c <= 0).any():
-        raise ValueError("candidate costs must be positive")
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    budget = float(budget)
 
+    The inputs are checked as a ``RetentionState`` is, then projected by the
+    kernel that ``reinforce_step`` runs unchecked, whose feasibility check
+    is its first Newton pass. A NaN or infinite input makes that spend, or
+    the bracket, non-finite and raises ValueError.
+    """
+    state = RetentionState(probs=probs, costs=costs, budget=budget)
+    return _project(state.probs, state.costs, state.costs_sq, state.budget)
+
+
+def _project(s, c, c2, budget: float) -> np.ndarray:
+    """``project_to_budget`` on checked inputs, with ``c2 = c * c``."""
+    x = s  # s - nu c at nu = 0, bit for bit
     clipped = np.minimum(np.maximum(s, 0.0), 1.0)
-    if float(c @ clipped) <= budget:
+    spend = float(c @ clipped)
+    if not math.isfinite(spend):
+        raise ValueError("probabilities, costs and budget must be finite")
+    if spend <= budget:
         return clipped
     if budget == 0.0:  # past the last breakpoint, where a rounded root may not reach
         return np.zeros_like(s)
-
-    c2 = c * c
-    lo = 0.0  # spend(lo) > budget
-    hi = float(np.max(np.maximum(s, 1.0) / c))  # spend(hi) == 0 < budget
-    nu = lo
-    piece = None  # (free, upper) sets the current nu was solved from
+    lo, hi = 0.0, float((np.maximum(s, 1.0) / c).max())  # spend(lo) > budget > spend(hi) == 0
+    if not math.isfinite(hi):
+        raise ValueError("probabilities must be finite and costs not vanishingly small")
+    nu, piece = lo, None  # the free and upper sets nu was solved from, as bytes
     for _ in range(200):
-        x = s - nu * c
         upper = x >= 1.0
         free = (x > 0.0) & ~upper
-        if piece is not None and np.array_equal(free, piece[0]) and np.array_equal(upper, piece[1]):
-            break  # nu is the root of its own piece
-        gap = float(c @ np.minimum(np.maximum(x, 0.0), 1.0)) - budget
+        key = free.tobytes() + upper.tobytes()
+        if key == piece:
+            return clipped  # nu is the root of its own piece
+        gap = spend - budget
         if gap == 0.0:
-            break
+            return clipped
         if gap > 0.0:
             lo = nu
         else:
             hi = nu
         slope = float(c2 @ free)
         if slope > 0.0 and lo < (step := nu + gap / slope) < hi:
-            nu, piece = step, (free, upper)
+            nu, piece = step, key
         else:
             nu, piece = 0.5 * (lo + hi), None
-    else:
-        nu = hi  # feasible side of the final bracket
-    return np.minimum(np.maximum(s - nu * c, 0.0), 1.0)
+        x = s - nu * c
+        clipped = np.minimum(np.maximum(x, 0.0), 1.0)
+        spend = float(c @ clipped)
+    return np.minimum(np.maximum(s - hi * c, 0.0), 1.0)  # feasible side of the final bracket
 
 
 def greedy_fill(keys, costs, budget) -> np.ndarray:

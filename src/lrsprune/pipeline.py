@@ -34,6 +34,7 @@ from .allocator import (
 from .calibration import (
     CalibrationSet,
     ToyModel,
+    _Rebuild,
     _output_loss,
     _task_loss,
     default_toy_model,
@@ -129,9 +130,11 @@ class _MaskedLossEvaluator:
     appended to ``history``.
 
     Caches the rebuilt weight and the input activation of every layer. Only
-    layers whose mask bits changed are re-reconstructed, the forward pass
-    reruns from the first of them, and a mask equal to the last one returns
-    the last loss; values are identical to a full rebuild. The layers before
+    layers whose mask bits changed are rebuilt, each in place by its own
+    ``_Rebuild``, which reuses the low-rank product while the layer's
+    triplet bits hold; the forward pass reruns from the first changed
+    layer, and a mask equal to the last one returns the last loss. Values
+    are identical to a full rebuild by ``reconstruct``. The layers before
     the group are forwarded once, on the first ``loss`` call.
     """
 
@@ -145,16 +148,20 @@ class _MaskedLossEvaluator:
         self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
         self.costs = np.concatenate([pools[i].costs for i in group])
         self._keys = dict.fromkeys(group)
+        self._rebuilds = {i: (pools[i].n_triplets, _Rebuild(pools[i])) for i in group}
         self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
         self._loss = None
 
     def loss(self, bits: np.ndarray) -> float:
+        if bits.shape != self.costs.shape:
+            raise ValueError(f"mask length {bits.shape} does not match group {self.costs.shape}")
         first = None
         for i, sl in self.slices.items():
             sub = bits[sl]
             key = sub.tobytes()
             if key != self._keys[i]:
-                self.weights[i] = reconstruct(self.pools[i], sub)
+                t, rebuild = self._rebuilds[i]
+                self.weights[i] = rebuild.update(sub[:t] != 0, sub[t:] != 0)
                 self._keys[i] = key
                 if first is None:
                     first = i

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
+from lrsprune import allocator
 from lrsprune.allocator import (
     EPSILON,
     PolicyGradientConfig,
@@ -118,12 +119,47 @@ class TestInitState:
         np.testing.assert_allclose(state.probs, oracle, atol=1e-5)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be positive"):
             init_state([4.0, 1.0], 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="candidate costs must be positive"):
             init_state([1.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="costs must be a flat vector"):
             init_state([[1.0]], 1.0)
+
+
+class TestRetentionState:
+    @pytest.mark.parametrize(
+        "probs, costs, budget",
+        [
+            ([0.5], [0.0], 1.0),
+            ([0.5], [-1.0], 1.0),
+            ([0.5], [float("nan")], 1.0),
+            ([0.5, 0.5], [1.0], 1.0),
+            ([[0.5]], [[1.0]], 1.0),
+            ([0.5], [1.0], -1.0),
+            ([0.5], [1.0], float("nan")),
+            ([0.5], [1.0], float("inf")),
+        ],
+        ids=[
+            "zero cost",
+            "negative cost",
+            "nan cost",
+            "short probs",
+            "2-d",
+            "negative budget",
+            "nan budget",
+            "inf budget",
+        ],
+    )
+    def test_rejects_bad_inputs_when_built(self, probs, costs, budget):
+        with pytest.raises(ValueError):
+            RetentionState(probs=probs, costs=costs, budget=budget)
+
+    def test_derives_what_the_step_needs(self):
+        state = RetentionState(probs=[0.5, 1], costs=[2, 3], budget=4)
+        assert state.probs.dtype == state.costs.dtype == np.float64
+        np.testing.assert_array_equal(state.costs_sq, [4.0, 9.0])
+        assert type(state.budget) is float and state.budget == 4.0
 
 
 class TestSampleMask:
@@ -206,6 +242,60 @@ class TestReinforceStep:
             assert float(costs @ state.probs) <= 1.5 + 1e-9
             assert np.all(state.probs >= 0.0) and np.all(state.probs <= 1.0)
 
+    @pytest.mark.parametrize("loss", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_loss(self, loss):
+        state = init_state([1.0, 1.0], 1.0)
+        before = state.probs.copy()
+        with pytest.raises(ValueError, match="task loss must be finite"):
+            reinforce_step(state, np.array([1, 0]), loss, PolicyGradientConfig())
+        np.testing.assert_array_equal(state.probs, before)
+        assert state.recent_losses == [] and state.baseline == 0.0
+
+    @given(
+        probs=hnp.arrays(
+            np.float64,
+            st.integers(min_value=1, max_value=10),
+            elements=st.floats(min_value=0.0, max_value=1.0),
+        ),
+        loss=st.floats(min_value=-10.0, max_value=10.0),
+        learning_rate=st.floats(min_value=0.01, max_value=50.0),
+        frac=st.floats(min_value=0.0, max_value=1.2),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_step_projects_like_project_to_budget(self, probs, loss, learning_rate, frac, seed):
+        # large steps push every probability out of (0, 1): an empty free set
+        n = probs.size
+        costs = np.where(np.arange(n) < 2, 48.0, 1.0)
+        state = RetentionState(probs=probs, costs=costs, budget=frac * float(costs.sum()))
+        bits = np.random.default_rng(seed).integers(0, 2, n).astype(np.int8)
+        cfg = PolicyGradientConfig(learning_rate=learning_rate, window=1, baseline_beta=0.5)
+        advantage = loss - 0.5 * loss
+        grad = log_prob_grad(bits, np.clip(probs, 1e-6, 1.0 - 1e-6), EPSILON)
+        expected = project_to_budget(probs - learning_rate * advantage * grad, costs, state.budget)
+        reinforce_step(state, bits, loss, cfg)
+        assert state.probs.tobytes() == expected.tobytes()
+
+
+@st.composite
+def projection_inputs(draw):
+    """(s, c, budget) in one regime of the projection: a feasible clip, a
+    binding budget, budget 0, or a start whose free set is empty (every s
+    at or beyond a face of the box)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    regime = draw(st.sampled_from(["feasible", "binding", "zero", "empty free set"]))
+    if regime == "empty free set":
+        elements = st.one_of(st.floats(1.0, 3.0), st.floats(-2.0, 0.0))
+    else:
+        elements = st.floats(-2.0, 3.0)
+    s = draw(hnp.arrays(np.float64, n, elements=elements))
+    costs = st.one_of(st.sampled_from([1.0, 48.0, 512.0]), st.floats(0.1, 600.0))
+    c = draw(hnp.arrays(np.float64, n, elements=costs))
+    spend = float(c @ np.clip(s, 0.0, 1.0))
+    if regime == "zero":
+        return s, c, 0.0
+    frac = draw(st.floats(1.0, 2.0) if regime == "feasible" else st.floats(0.01, 0.99))
+    return s, c, frac * spend
+
 
 class TestProjectToBudget:
     def test_feasible_input_only_clipped(self):
@@ -227,6 +317,32 @@ class TestProjectToBudget:
             project_to_budget([0.5, 0.5], [1.0], 1.0)
         with pytest.raises(ValueError):
             project_to_budget([0.5], [0.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "probs, costs, budget",
+        [
+            ([float("nan"), 0.5], [1.0, 1.0], 1.0),  # was returned as [nan, 0.5]
+            ([0.5, 0.5], [1.0, 1.0], float("nan")),  # was returned unprojected
+            ([0.5, 0.5], [1.0, 1.0], float("inf")),
+            ([0.5, 0.5], [1.0, float("inf")], 1.0),
+            ([0.5, 0.5], [1.0, float("nan")], 1.0),
+            ([float("inf"), 0.5], [1.0, 1.0], 1.0),
+        ],
+        ids=["nan prob", "nan budget", "inf budget", "inf cost", "nan cost", "inf prob"],
+    )
+    def test_rejects_non_finite_inputs(self, probs, costs, budget):
+        with pytest.raises(ValueError, match="finite|positive"):
+            project_to_budget(probs, costs, budget)
+
+    @given(projection_inputs())
+    def test_step_kernel_returns_the_public_bits(self, inputs):
+        s, c, budget = inputs
+        state = RetentionState(probs=s, costs=c, budget=budget)
+        kernel = allocator._project(state.probs, state.costs, state.costs_sq, state.budget)
+        public = project_to_budget(s, c, budget)
+        assert kernel.tobytes() == public.tobytes()
+        assert float(c @ public) <= budget * (1.0 + 1e-12)
+        np.testing.assert_allclose(public, breakpoint_projection(s, c, budget), rtol=0, atol=1e-9)
 
     def test_matches_quadratic_program(self):
         rng = np.random.default_rng(11)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrsprune import cli, pipeline
+from lrsprune.calibration import ToyModel
 from lrsprune.cli import format_report, main
 from lrsprune.matio import (
     CONFIG_DEFAULTS,
@@ -344,6 +345,23 @@ class TestCompress:
         assert (out / "keep.txt").read_text() == "unrelated\n"
         assert read_matrix(out / "layer1.smasked.capm").shape == (8, 6)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["job.cfg", "model", "z"])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_loss_exit_code(self, tmp_path, capsys):
+        # the default toy with every layer scaled by 1e66: finite targets,
+        # but every task loss overflows to inf
+        job = pipeline.default_job()
+        model = ToyModel(layers=[w * 1e66 for w in job.model.layers])
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        for i, w in enumerate(model.layers):
+            write_matrix(model_dir / f"layer{i}.weight.capm", w)
+        write_matrix(model_dir / "calib.inputs.capm", job.calib.inputs)
+        write_matrix(model_dir / "calib.targets.capm", model.forward(job.calib.inputs))
+        out = tmp_path / "o"
+        assert main(["compress", str(model_dir), "--out", str(out), "--quiet"]) == 2
+        assert "task loss must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_dir_exit_code(self, tmp_path):
         assert main(["compress", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 5

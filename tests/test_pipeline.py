@@ -327,6 +327,42 @@ class TestIncrementalEvaluator:
             for i in group:
                 weights[i] = full[i]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_in_place_rebuild_equals_reconstruct(self, mode):
+        # per layer, flip only entry bits, only triplet bits, both or neither;
+        # the weights are compared byte for byte, since a loss may not see
+        # a change that feeds only dead units
+        job = default_job(calib_n=32, mode=mode)
+        pools = _stage1(job)[1]
+        groups = [list(pools)] if mode == "global" else [[i] for i in pools]
+        rng = np.random.default_rng(3)
+        given = [w.copy() for w in job.model.layers]
+        weights = list(job.model.layers)
+        for group in groups:
+            passed = [w.copy() for w in weights]
+            evaluator = _MaskedLossEvaluator(job, weights, pools, group, [])
+            masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
+            parts = ("entries", "triplets", "both", "none", "entries", "entries", "triplets")
+            walk = [(None, "none")] + [(i, part) for part in parts for i in group]
+            for step, (i, part) in enumerate(walk):
+                if part != "none":
+                    t = pools[i].n_triplets
+                    span = {"entries": slice(t, None), "triplets": slice(0, t), "both": slice(None)}
+                    bits = masks[i][span[part]]
+                    flip = rng.random(bits.size) < 0.5
+                    flip[rng.integers(bits.size)] = True
+                    bits[flip] ^= 1
+                loss = evaluator.loss(np.concatenate([masks[k] for k in group]))
+                full = list(weights)
+                for k in group:
+                    full[k] = reconstruct(pools[k], masks[k])
+                    assert evaluator.weights[k].tobytes() == full[k].tobytes(), (group, step)
+                assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(weights, passed))
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(job.model.layers, given))
+            for k in group:
+                weights[k] = full[k]
+
     def test_threshold_rows_forward_nothing(self, monkeypatch):
         made = []
 
@@ -340,6 +376,18 @@ class TestIncrementalEvaluator:
         report, _ = heuristic_threshold_baseline(job)
         assert len(made) == 3 and report.history == []
         assert all(len(evaluator._acts) == 1 for evaluator in made)  # calib.inputs only
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_loss_stops_the_run(self):
+        # every target is finite (up to ~3e198), but each squared error overflows
+        job = default_job(budget_fraction=0.15)
+        model = ToyModel(layers=[w * 1e66 for w in job.model.layers])
+        calib = CalibrationSet(inputs=job.calib.inputs, targets=model.forward(job.calib.inputs))
+        assert np.isfinite(calib.targets).all() and np.abs(calib.targets).max() > 1e198
+        with pytest.raises(ValueError, match="task loss must be finite, got inf"):
+            run(CompressionJob(model=model, calib=calib, budget_fraction=0.15))
 
 
 class TestNearOracle:
