@@ -89,9 +89,9 @@ def sample_mask(state: RetentionState, rng: np.random.Generator) -> np.ndarray:
 
 def log_prob_grad(mask, probs, epsilon: float) -> np.ndarray:
     """Gradient of log p(mask) in the retention probabilities."""
-    mask = np.asarray(mask, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
-    return (mask - probs) / (probs * (1.0 - probs) + epsilon)
+    den = probs * (1.0 - probs) + epsilon
+    return np.divide(np.subtract(mask, probs, dtype=np.float64), den, out=den)
 
 
 def reinforce_step(
@@ -113,10 +113,10 @@ def reinforce_step(
     signal = sum(state.recent_losses) / len(state.recent_losses)
     state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
     advantage = loss - state.baseline
-    grad = log_prob_grad(bits, np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP), EPSILON)
-    state.probs = _project(
-        probs - config.learning_rate * advantage * grad, state.costs, state.costs_sq, state.budget
-    )
+    step = log_prob_grad(bits, np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP), EPSILON)
+    step *= config.learning_rate * advantage
+    np.subtract(probs, step, out=step)  # probs - lr * advantage * grad, in the gradient's array
+    state.probs = _project(step, state.costs, state.costs_sq, state.budget)
     return state
 
 

@@ -103,14 +103,16 @@ def gen_calibration(
 
 
 def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
-    """Mean over records of the squared error of the model outputs ``out``."""
-    diff = out - calib.targets
-    return float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / diff.shape[0])
+    """Mean over records of the squared error of the outputs ``out``, which it overwrites."""
+    out -= calib.targets
+    out *= out
+    return float(np.add.reduce(np.add.reduce(out, axis=1)) / out.shape[0])
 
 
 def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:
-    """Mean over records of the squared output error of a weight stack."""
-    return _output_loss(_forward(weights, activation, calib.inputs), calib)
+    """Mean over records of the squared output error of a weight stack; overflow does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _output_loss(_forward(weights, activation, calib.inputs), calib)
 
 
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
@@ -127,37 +129,14 @@ def _split(pool: CandidatePool, mask) -> tuple[np.ndarray, np.ndarray]:
     return mask[:t] != 0, mask[t:] != 0
 
 
-class _Rebuild:
-    """One layer's masked rebuild, updated in place. The low-rank product is
-    recomputed only when the kept triplets change; otherwise the low-rank
-    values under the last kept entries are written back by assignment
-    (``w + v - v`` is not ``w`` in floating point) before the new entries
-    are scattered. The weight is the rebuild's own array."""
-
-    def __init__(self, pool: CandidatePool):
-        self.pool = pool
-        self.weight = None
-        self._triplets = None  # the kept-triplet flags of ``weight``, as bytes
-
-    def update(self, keep_t: np.ndarray, keep_e: np.ndarray) -> np.ndarray:
-        pool = self.pool
-        key = keep_t.tobytes()
-        if key == self._triplets:
-            self._flat[self._at] = self._under
-        else:
-            self.weight = pool.triplet_us[:, keep_t] @ pool.triplet_vt[keep_t]
-            self._flat, self._triplets = self.weight.reshape(-1), key
-        self._at = at = pool.entry_flat[keep_e]
-        self._under = self._flat[at]  # the low-rank values the scatter overwrites
-        self._flat[at] = self._under + pool.entry_values[keep_e]
-        return self.weight
-
-
 def reconstruct(pool: CandidatePool, mask) -> np.ndarray:
-    """Dense weight rebuilt from the retained candidates: sum of kept
-    singular triplets plus kept sparse entries. This is the kernel that
-    Stage 2 keeps per layer and updates in place, run from an empty state."""
-    return _Rebuild(pool).update(*_split(pool, mask))
+    """Dense weight rebuilt from the retained candidates: the product of the
+    kept singular triplets, with the kept sparse entries added at their
+    positions. Stage 2's group rebuild computes the same values in place."""
+    keep_t, keep_e = _split(pool, mask)
+    w = pool.triplet_us[:, keep_t] @ pool.triplet_vt[keep_t]
+    w.reshape(-1)[pool.entry_flat[keep_e]] += pool.entry_values[keep_e]
+    return w
 
 
 @dataclass

@@ -9,7 +9,7 @@ Subcommands:
     export            dump a matrix file as full-precision decimal text
 
 Exit codes: 0 success, 2 usage or configuration error, 3 malformed matrix
-file, 4 solver non-convergence, 5 filesystem error.
+file, 4 solver non-convergence (ADMM or SVD), 5 filesystem error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
+from .linalg import SvdError
 from .matio import (
     ConfigError,
     JobConfig,
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
     except MatrixFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, SvdError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

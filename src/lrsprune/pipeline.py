@@ -34,7 +34,6 @@ from .allocator import (
 from .calibration import (
     CalibrationSet,
     ToyModel,
-    _Rebuild,
     _output_loss,
     _task_loss,
     default_toy_model,
@@ -125,17 +124,17 @@ def _stage1(job: CompressionJob):
 
 
 class _MaskedLossEvaluator:
-    """Task loss of a mask over a group's concatenated candidates, with the
-    layers outside the group at ``weights``; every loss it returns is
-    appended to ``history``.
+    """Task loss of a mask over a group's concatenated candidates, the layers
+    outside the group at ``weights``; each loss is appended to ``history``.
 
-    Caches the rebuilt weight and the input activation of every layer. Only
-    layers whose mask bits changed are rebuilt, each in place by its own
-    ``_Rebuild``, which reuses the low-rank product while the layer's
-    triplet bits hold; the forward pass reruns from the first changed
-    layer, and a mask equal to the last one returns the last loss. Values
-    are identical to a full rebuild by ``reconstruct``. The layers before
-    the group are forwarded once, on the first ``loss`` call.
+    The group's weights share one flat buffer, one view per layer; its sparse
+    entries are flat arrays of mask positions, buffer offsets and values. A
+    changed mask writes back the low-rank values under the last kept entries
+    (``w + v - v`` is not ``w`` in floating point), recomputes the product of
+    each layer whose triplet bits changed, and places all kept entries by one
+    gather and one scatter. The forward reruns from the first changed layer on
+    cached layer inputs, which the first call fills; a repeated mask returns
+    the last loss. Weights and losses equal a full rebuild by ``reconstruct``.
     """
 
     def __init__(self, job, weights, pools, group, history):
@@ -147,8 +146,19 @@ class _MaskedLossEvaluator:
         ends = np.cumsum([0] + [pools[i].size for i in group])
         self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
         self.costs = np.concatenate([pools[i].costs for i in group])
-        self._keys = dict.fromkeys(group)
-        self._rebuilds = {i: (pools[i].n_triplets, _Rebuild(pools[i])) for i in group}
+        at = np.cumsum([0] + [pools[i].rows * pools[i].cols for i in group])
+        self._buffer = np.empty(int(at[-1]))
+        self._layers, bits, offsets = [], [], []  # (index, mask slice, triplet count, pool)
+        for k, i in enumerate(group):
+            pool, sl = pools[i], self.slices[i]
+            self.weights[i] = self._buffer[at[k] : at[k + 1]].reshape(pool.rows, pool.cols)
+            self._layers.append((i, sl, pool.n_triplets, pool))
+            bits.append(np.arange(sl.start + pool.n_triplets, sl.stop))
+            offsets.append(at[k] + pool.entry_flat)
+        self._entry_bits, self._entry_at = np.concatenate(bits), np.concatenate(offsets)
+        self._entry_values = np.concatenate([pools[i].entry_values for i in group])
+        self._at, self._under = self._entry_at[:0], self._buffer[:0]  # kept entries, values under
+        self._keys, self._triplet_keys = dict.fromkeys(group), dict.fromkeys(group)
         self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
         self._loss = None
 
@@ -156,16 +166,25 @@ class _MaskedLossEvaluator:
         if bits.shape != self.costs.shape:
             raise ValueError(f"mask length {bits.shape} does not match group {self.costs.shape}")
         first = None
-        for i, sl in self.slices.items():
-            sub = bits[sl]
-            key = sub.tobytes()
-            if key != self._keys[i]:
-                t, rebuild = self._rebuilds[i]
-                self.weights[i] = rebuild.update(sub[:t] != 0, sub[t:] != 0)
-                self._keys[i] = key
-                if first is None:
-                    first = i
+        for i, sl, t, pool in self._layers:
+            key = bits[sl].tobytes()
+            if key == self._keys[i]:
+                continue
+            if first is None:
+                first = i
+                self._buffer[self._at] = self._under
+            self._keys[i] = key
+            triplets = key[: t * bits.itemsize]
+            if triplets != self._triplet_keys[i]:
+                keep = bits[sl.start : sl.start + t] != 0  # compress: [:, keep] and [keep], faster
+                us, vt = pool.triplet_us.compress(keep, 1), pool.triplet_vt.compress(keep, 0)
+                np.matmul(us, vt, out=self.weights[i])
+                self._triplet_keys[i] = triplets
         if first is not None:
+            kept = np.flatnonzero(bits[self._entry_bits] != 0)  # faster than a boolean index
+            self._at = at = self._entry_at[kept]
+            self._under = under = self._buffer[at]
+            self._buffer[at] = under + self._entry_values[kept]
             acts = self._acts
             del acts[first + 1 :]
             h, last = acts[-1], len(self.weights) - 1
@@ -173,7 +192,7 @@ class _MaskedLossEvaluator:
                 h = h @ self.weights[k]
                 if k < last:
                     if self.relu:
-                        h = np.maximum(h, 0.0)
+                        np.maximum(h, 0.0, out=h)
                     acts.append(h)
             self._loss = _output_loss(h, self.calib)
         self.history.append(self._loss)
@@ -183,9 +202,10 @@ class _MaskedLossEvaluator:
 def _learn_masks(evaluator, budget, pg, rng) -> np.ndarray:
     """Learned chooser: sample, score, reinforce, finalize."""
     state = init_state(evaluator.costs, budget)
-    for _ in range(pg.iterations * evaluator.calib.size):
-        bits = sample_mask(state, rng)
-        reinforce_step(state, bits, evaluator.loss(bits), pg)
+    with np.errstate(over="ignore", invalid="ignore"):  # reinforce_step rejects such a loss
+        for _ in range(pg.iterations * evaluator.calib.size):
+            bits = sample_mask(state, rng)
+            reinforce_step(state, bits, evaluator.loss(bits), pg)
     return finalize_masks(state)
 
 

@@ -270,6 +270,17 @@ class TestDecompose:
         src = model_dir / "layer0.weight.capm"
         assert main(["decompose", str(src), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
+    def test_svd_failure_exit_code(self, tmp_path, model_dir, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        src = model_dir / "layer0.weight.capm"
+        assert main(["decompose", str(src), "--out", str(tmp_path / "o")]) == 4
+        said = capsys.readouterr().err
+        assert said.startswith("solver error: ") and "did not converge" in said
+        assert "Traceback" not in said
+
     def test_unknown_config_key_exit_code(self, tmp_path, model_dir):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("rpca.mu = 3\n")
@@ -346,7 +357,6 @@ class TestCompress:
         assert read_matrix(out / "layer1.smasked.capm").shape == (8, 6)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["job.cfg", "model", "z"])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_loss_exit_code(self, tmp_path, capsys):
         # the default toy with every layer scaled by 1e66: finite targets,
         # but every task loss overflows to inf

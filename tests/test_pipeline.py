@@ -324,14 +324,22 @@ class TestIncrementalEvaluator:
                 assert all(a is b for a, b in zip(kept, cached)), (group, step)
                 if step > 0:
                     assert len(kept) == first + 1
+                # and every cached input equals a fresh forward pass, byte for byte
+                h, fresh = job.calib.inputs, [job.calib.inputs]
+                for w in full[:-1]:
+                    h = np.maximum(h @ w, 0.0)
+                    fresh.append(h)
+                assert len(evaluator._acts) == len(fresh), (group, step)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(evaluator._acts, fresh))
             for i in group:
                 weights[i] = full[i]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_in_place_rebuild_equals_reconstruct(self, mode):
         # per layer, flip only entry bits, only triplet bits, both or neither;
-        # the weights are compared byte for byte, since a loss may not see
-        # a change that feeds only dead units
+        # in a group of several layers, also change several layers at once,
+        # each its own part; the weights are compared byte for byte, since a
+        # loss may not see a change that feeds only dead units
         job = default_job(calib_n=32, mode=mode)
         pools = _stage1(job)[1]
         groups = [list(pools)] if mode == "global" else [[i] for i in pools]
@@ -343,9 +351,17 @@ class TestIncrementalEvaluator:
             evaluator = _MaskedLossEvaluator(job, weights, pools, group, [])
             masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
             parts = ("entries", "triplets", "both", "none", "entries", "entries", "triplets")
-            walk = [(None, "none")] + [(i, part) for part in parts for i in group]
-            for step, (i, part) in enumerate(walk):
-                if part != "none":
+            walk = [{}] + [{i: part} for part in parts for i in group]
+            if len(group) > 1:  # several layers at once, each changing its own part
+                for r in range(len(group)):
+                    order = group[r:] + group[:r]
+                    walk.append({order[0]: "triplets", order[1]: "entries"})  # the rest: none
+                    walk.append(dict(zip(order, ("entries", "triplets", "both"))))
+                    walk.append(dict.fromkeys(group, ("triplets", "entries", "both")[r % 3]))
+            for step, change in enumerate(walk):
+                for i, part in change.items():
+                    if part == "none":
+                        continue
                     t = pools[i].n_triplets
                     span = {"entries": slice(t, None), "triplets": slice(0, t), "both": slice(None)}
                     bits = masks[i][span[part]]
@@ -379,7 +395,6 @@ class TestIncrementalEvaluator:
 
 
 class TestNonFiniteLoss:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_loss_stops_the_run(self):
         # every target is finite (up to ~3e198), but each squared error overflows
         job = default_job(budget_fraction=0.15)
