@@ -83,8 +83,9 @@ def init_state(pool_costs, budget) -> RetentionState:
 
 
 def sample_mask(state: RetentionState, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli draw per candidate; p = 0 and p = 1 are exact."""
-    return (rng.random(state.probs.size) < state.probs).astype(np.int8)
+    """Independent Bernoulli draw per candidate; p = 0 and p = 1 are exact.
+    The int8 mask is the comparison's bool array viewed, not copied."""
+    return np.less(rng.random(state.probs.size), state.probs).view(np.int8)
 
 
 def log_prob_grad(mask, probs, epsilon: float) -> np.ndarray:
@@ -161,7 +162,7 @@ def _project(s, c, c2, budget: float) -> np.ndarray:
     nu, piece = lo, None  # the free and upper sets nu was solved from, as bytes
     for _ in range(200):
         upper = x >= 1.0
-        free = (x > 0.0) & ~upper
+        free = (x > 0.0) ^ upper  # 0 < x < 1, as x >= 1 implies x > 0
         key = free.tobytes() + upper.tobytes()
         if key == piece:
             return clipped  # nu is the root of its own piece
@@ -185,14 +186,24 @@ def _project(s, c, c2, budget: float) -> np.ndarray:
 
 def greedy_fill(keys, costs, budget) -> np.ndarray:
     """Hard selection under the budget: candidates are visited by descending
-    key (ties keep pool order) and kept whenever their cost still fits."""
+    key (ties keep pool order) and kept whenever their cost still fits.
+
+    Costs are positive integers, so float64 sums of them are exact. Each pass
+    drops the candidates that no longer fit alone, then keeps the longest
+    prefix of the rest that fits; the first candidate past that prefix fits
+    no more. Each pass's misfit costs less than the last one's, so there are
+    at most as many passes as distinct costs.
+    """
     costs = np.asarray(costs, dtype=np.float64)
     mask = np.zeros(costs.size, dtype=np.int8)
     remaining = float(budget)
-    for k in np.argsort(-np.asarray(keys), kind="stable"):
-        if costs[k] <= remaining:
-            mask[k] = 1
-            remaining -= float(costs[k])
+    order = np.argsort(-np.asarray(keys), kind="stable")
+    while (order := order[costs[order] <= remaining]).size:
+        spent = np.cumsum(costs[order])
+        n = int(np.searchsorted(spent, remaining, side="right"))
+        mask[order[:n]] = 1
+        remaining -= float(spent[n - 1])
+        order = order[n:]
     return mask
 
 

@@ -103,10 +103,11 @@ def gen_calibration(
 
 
 def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
-    """Mean over records of the squared error of the outputs ``out``, which it overwrites."""
+    """Mean over records of the squared error of the outputs ``out``, which it
+    overwrites. The squares are summed in one flat pass, not row by row."""
     out -= calib.targets
     out *= out
-    return float(np.add.reduce(np.add.reduce(out, axis=1)) / out.shape[0])
+    return float(np.add.reduce(out, axis=None) / out.shape[0])
 
 
 def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:

@@ -48,20 +48,35 @@ def svd(a) -> SvdFactorization:
     Raises:
         SvdError: if the backend does not converge.
     """
-    m = as_matrix(a)
-    try:
-        u, sigma, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdError(f"svd of shape {m.shape} did not converge: {exc}") from exc
-    v = vh.T
-    anchor = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[anchor, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
+    u, sigma, vh = thin_svd(as_matrix(a))
+    signs = column_signs(u)
     return SvdFactorization(
         u=np.ascontiguousarray(u * signs),
         sigma=np.ascontiguousarray(sigma),
-        v=np.ascontiguousarray(v * signs),
+        v=np.ascontiguousarray(vh.T * signs),
     )
+
+
+def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(m, full_matrices=False)`` as it comes, signs unfixed, on a
+    checked matrix.
+
+    Raises:
+        SvdError: if the backend does not converge.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdError(f"svd of shape {m.shape} did not converge: {exc}") from exc
+
+
+def column_signs(u: np.ndarray) -> np.ndarray:
+    """``svd``'s sign convention: per column of ``u``, the sign that makes its
+    largest-magnitude entry positive (ties to the lowest row; +1 for a zero
+    column). Each column's sign depends on that column alone."""
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return signs
 
 
 def frobenius_norm(a) -> float:

@@ -127,14 +127,18 @@ class _MaskedLossEvaluator:
     """Task loss of a mask over a group's concatenated candidates, the layers
     outside the group at ``weights``; each loss is appended to ``history``.
 
-    The group's weights share one flat buffer, one view per layer; its sparse
-    entries are flat arrays of mask positions, buffer offsets and values. A
-    changed mask writes back the low-rank values under the last kept entries
-    (``w + v - v`` is not ``w`` in floating point), recomputes the product of
-    each layer whose triplet bits changed, and places all kept entries by one
-    gather and one scatter. The forward reruns from the first changed layer on
-    cached layer inputs, which the first call fills; a repeated mask returns
-    the last loss. Weights and losses equal a full rebuild by ``reconstruct``.
+    The group's weights share one flat buffer, one view per layer, and a spare
+    last slot that holds 0. Two arrays over the group's mask positions give
+    each sparse entry's buffer offset and value; a triplet position points at
+    the spare slot with value 0. A changed mask writes back the low-rank
+    values under the last kept positions (``w + v - v`` is not ``w`` in
+    floating point), recomputes the product of each layer whose triplet bits
+    changed, and places all kept entries by one gather, one add and one
+    scatter at the kept positions, where the triplets add 0 to the spare
+    slot. The forward reruns from the first changed layer on cached layer
+    inputs, which the first call fills; a repeated mask returns the last
+    loss. Masks are 0/1 int8, read as bool. Weights and losses equal a full
+    rebuild by ``reconstruct``.
     """
 
     def __init__(self, job, weights, pools, group, history):
@@ -147,25 +151,26 @@ class _MaskedLossEvaluator:
         self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
         self.costs = np.concatenate([pools[i].costs for i in group])
         at = np.cumsum([0] + [pools[i].rows * pools[i].cols for i in group])
-        self._buffer = np.empty(int(at[-1]))
-        self._layers, bits, offsets = [], [], []  # (index, mask slice, triplet count, pool)
+        spare = int(at[-1])
+        self._buffer = np.zeros(spare + 1)
+        self._layers, offsets, values = [], [], []  # (index, mask slice, triplet count, pool)
         for k, i in enumerate(group):
             pool, sl = pools[i], self.slices[i]
             self.weights[i] = self._buffer[at[k] : at[k + 1]].reshape(pool.rows, pool.cols)
             self._layers.append((i, sl, pool.n_triplets, pool))
-            bits.append(np.arange(sl.start + pool.n_triplets, sl.stop))
-            offsets.append(at[k] + pool.entry_flat)
-        self._entry_bits, self._entry_at = np.concatenate(bits), np.concatenate(offsets)
-        self._entry_values = np.concatenate([pools[i].entry_values for i in group])
-        self._at, self._under = self._entry_at[:0], self._buffer[:0]  # kept entries, values under
+            offsets += [np.full(pool.n_triplets, spare), at[k] + pool.entry_flat]
+            values += [np.zeros(pool.n_triplets), pool.entry_values]
+        self._pos_at, self._pos_values = np.concatenate(offsets), np.concatenate(values)
+        self._at, self._under = self._pos_at[:0], self._buffer[:0]  # kept positions, values under
         self._keys, self._triplet_keys = dict.fromkeys(group), dict.fromkeys(group)
         self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
         self._loss = None
 
     def loss(self, bits: np.ndarray) -> float:
-        if bits.shape != self.costs.shape:
-            raise ValueError(f"mask length {bits.shape} does not match group {self.costs.shape}")
-        first = None
+        if bits.shape != self.costs.shape or bits.dtype != np.int8:
+            shape = self.costs.shape
+            raise ValueError(f"mask must be int8 of shape {shape}, got {bits.dtype} {bits.shape}")
+        flags, first = bits.view(np.bool_), None  # nonzero on bool is faster than on int8
         for i, sl, t, pool in self._layers:
             key = bits[sl].tobytes()
             if key == self._keys[i]:
@@ -176,15 +181,15 @@ class _MaskedLossEvaluator:
             self._keys[i] = key
             triplets = key[: t * bits.itemsize]
             if triplets != self._triplet_keys[i]:
-                keep = bits[sl.start : sl.start + t] != 0  # compress: [:, keep] and [keep], faster
+                keep = flags[sl.start : sl.start + t]  # compress: [:, keep] and [keep], faster
                 us, vt = pool.triplet_us.compress(keep, 1), pool.triplet_vt.compress(keep, 0)
                 np.matmul(us, vt, out=self.weights[i])
                 self._triplet_keys[i] = triplets
         if first is not None:
-            kept = np.flatnonzero(bits[self._entry_bits] != 0)  # faster than a boolean index
-            self._at = at = self._entry_at[kept]
+            kept = flags.nonzero()[0]
+            self._at = at = self._pos_at[kept]
             self._under = under = self._buffer[at]
-            self._buffer[at] = under + self._entry_values[kept]
+            self._buffer[at] = under + self._pos_values[kept]
             acts = self._acts
             del acts[first + 1 :]
             h, last = acts[-1], len(self.weights) - 1

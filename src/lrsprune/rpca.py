@@ -37,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, frobenius_norm, spectral_norm, svd
+from .linalg import (
+    SvdFactorization,
+    as_matrix,
+    column_signs,
+    frobenius_norm,
+    spectral_norm,
+    svd,
+    thin_svd,
+)
 
 RHO = 1.5  # penalty growth factor per ADMM iteration
 MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR times its start
@@ -140,6 +148,10 @@ def svt(
     attempt starting from the right block of the one before, until the first
     computed value at or below ``tau`` stays there when widened by its
     residual; otherwise they come from the full SVD, which needs no ``rng``.
+    That path fixes ``linalg.svd``'s sign convention on the survivors only, so
+    its factors equal ``linalg.svd(a)`` cut to them, byte for byte, and it
+    returns every right singular vector unsigned, as ``np.linalg.svd`` gives
+    them; a start column's sign does not change the range finder's basis.
 
     The acceptance rule certifies the survivor set, not the kept values: it
     guarantees that no singular value above ``tau`` is missed, but the kept
@@ -163,8 +175,16 @@ def svt(
                 break
         k *= 2
         start = f.v
-    else:
-        f = svd(a)
+    else:  # svd's signs, fixed on the survivors only
+        u, sigma, vh = thin_svd(a)
+        svp = int(np.count_nonzero(sigma > tau))
+        signs = column_signs(u[:, :svp])
+        shrunk = SvdFactorization(
+            u=u[:, :svp] * signs,
+            sigma=svt_shrink(sigma[:svp], tau),
+            v=np.ascontiguousarray(vh[:svp].T * signs),
+        )
+        return shrunk, vh.T
     svp = int(np.count_nonzero(f.sigma > tau))
     shrunk = SvdFactorization(
         u=np.ascontiguousarray(f.u[:, :svp]),

@@ -3,7 +3,7 @@ statistics against exact enumeration, update arithmetic, greedy finalization."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
@@ -14,6 +14,7 @@ from lrsprune.allocator import (
     PolicyGradientConfig,
     RetentionState,
     finalize_masks,
+    greedy_fill,
     init_state,
     log_prob_grad,
     project_to_budget,
@@ -449,6 +450,48 @@ class TestProjectionAgainstBreakpointSearch:
         x = project_to_budget(s, c, budget)
         np.testing.assert_allclose(x, breakpoint_projection(s, c, budget), rtol=0, atol=1e-12)
         assert abs(float(c @ x) - budget) <= 1e-12 * budget
+
+
+def greedy_fill_loop(keys, costs, budget):
+    """``greedy_fill`` one candidate at a time: the reference for its passes."""
+    costs = np.asarray(costs, dtype=np.float64)
+    mask = np.zeros(costs.size, dtype=np.int8)
+    remaining = float(budget)
+    for k in np.argsort(-np.asarray(keys), kind="stable"):
+        if costs[k] <= remaining:
+            mask[k] = 1
+            remaining -= float(costs[k])
+    return mask
+
+
+class TestGreedyFill:
+    @settings(max_examples=200)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=40),
+        distinct=st.integers(min_value=1, max_value=6),  # few distinct keys: many ties
+        budget=st.one_of(
+            st.just("zero"), st.just("all"), st.integers(min_value=0, max_value=200)
+        ),
+    )
+    def test_equals_the_per_candidate_loop(self, data, n, distinct, budget):
+        keys = data.draw(hnp.arrays(np.float64, n, elements=st.integers(0, distinct - 1)))
+        costs = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, 50)))
+        budget = {"zero": 0, "all": int(costs.sum())}.get(budget, budget)
+        expected = greedy_fill_loop(keys, costs, budget)
+        mask = greedy_fill(keys, costs, budget)
+        assert mask.dtype == np.int8 and mask.tobytes() == expected.tobytes()
+        if budget == costs.sum():
+            assert mask.all()  # a pool that fits entirely
+
+    def test_later_misfits_after_the_first(self, rng):
+        # a candidate that misfits, then smaller ones that fit, then a misfit
+        # among those: three passes, as a Stage 2 pool with mixed costs gives
+        costs = np.array([50, 50, 40, 1, 1, 30, 1, 20, 1, 1] * 3)
+        keys = rng.permutation(costs.size).astype(np.float64)
+        for budget in range(0, int(costs.sum()) + 2, 7):
+            expected = greedy_fill_loop(keys, costs, budget)
+            assert greedy_fill(keys, costs, budget).tobytes() == expected.tobytes(), budget
 
 
 class TestFinalizeMasks:

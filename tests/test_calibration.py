@@ -103,6 +103,18 @@ class TestCalibration:
         # per-record squared errors 1 and 4, averaged
         assert forward_loss(model, calib) == pytest.approx(2.5, abs=1e-15)
 
+    @pytest.mark.parametrize("n, shapes", [(128, TOY_SHAPES), (7, [(5, 3)]), (300, [(40, 1)])])
+    def test_forward_loss_equals_the_per_record_sum(self, n, shapes, rng):
+        # the loss sums all squared errors in one flat pass; summing each
+        # record first is another order, so they agree to the summation bound
+        model = planted_model(shapes, rng)
+        x = rng.standard_normal((n, model.input_dim))
+        calib = CalibrationSet(inputs=x, targets=rng.standard_normal((n, model.output_dim)))
+        diff = model.forward(x) - calib.targets
+        per_record = float(np.mean(np.sum(diff * diff, axis=1)))
+        bound = diff.size * np.finfo(np.float64).eps * per_record
+        assert abs(forward_loss(model, calib) - per_record) <= bound
+
 
 class TestReconstruct:
     def test_full_mask_restores_both_parts(self, planted_pool):

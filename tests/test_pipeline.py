@@ -17,6 +17,7 @@ from lrsprune.calibration import (
     planted_model,
     reconstruct,
 )
+from lrsprune.linalg import SvdFactorization
 from lrsprune.oracle import brute_force_best_mask
 from lrsprune.pipeline import (
     COMPONENT_CHOICES,
@@ -295,6 +296,51 @@ class TestSequentialMode:
 WALK = ("all", "last", "first", "none", "first", "none", "last", "all", "none")
 
 
+def walk_in_place(job, pools, rng):
+    """Walk each budget group of ``job`` through masks that change per layer
+    only entry bits, only triplet bits, both or neither, and in a group of
+    several layers several layers at once; after each step every evaluator
+    weight equals ``reconstruct`` byte for byte, the loss equals a full
+    rebuild's, the spare buffer slot holds +0.0, and the arrays passed in are
+    unchanged."""
+    groups = [list(pools)] if job.mode == "global" else [[i] for i in pools]
+    given = [w.copy() for w in job.model.layers]
+    weights = list(job.model.layers)
+    for group in groups:
+        passed = [w.copy() for w in weights]
+        evaluator = _MaskedLossEvaluator(job, weights, pools, group, [])
+        masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
+        parts = ("entries", "triplets", "both", "none", "entries", "entries", "triplets")
+        walk = [{}] + [{i: part} for part in parts for i in group]
+        if len(group) > 1:  # several layers at once, each changing its own part
+            for r in range(len(group)):
+                order = group[r:] + group[:r]
+                walk.append({order[0]: "triplets", order[1]: "entries"})  # the rest: none
+                walk.append(dict(zip(order, ("entries", "triplets", "both"))))
+                walk.append(dict.fromkeys(group, ("triplets", "entries", "both")[r % 3]))
+        for step, change in enumerate(walk):
+            for i, part in change.items():
+                t = pools[i].n_triplets
+                span = {"entries": slice(t, None), "triplets": slice(0, t), "both": slice(None)}
+                bits = masks[i][span.get(part, slice(0))]
+                if bits.size == 0:  # "none", or a part the layer does not have
+                    continue
+                flip = rng.random(bits.size) < 0.5
+                flip[rng.integers(bits.size)] = True
+                bits[flip] ^= 1
+            loss = evaluator.loss(np.concatenate([masks[k] for k in group]))
+            full = list(weights)
+            for k in group:
+                full[k] = reconstruct(pools[k], masks[k])
+                assert evaluator.weights[k].tobytes() == full[k].tobytes(), (group, step)
+            assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
+            assert evaluator._buffer[-1:].tobytes() == bytes(8), (group, step)  # +0.0
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(weights, passed))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(job.model.layers, given))
+        for k in group:
+            weights[k] = full[k]
+
+
 class TestIncrementalEvaluator:
     @pytest.mark.parametrize("mode", MODES)
     def test_loss_equals_full_rebuild(self, mode):
@@ -336,48 +382,33 @@ class TestIncrementalEvaluator:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_in_place_rebuild_equals_reconstruct(self, mode):
-        # per layer, flip only entry bits, only triplet bits, both or neither;
-        # in a group of several layers, also change several layers at once,
-        # each its own part; the weights are compared byte for byte, since a
-        # loss may not see a change that feeds only dead units
+        # the weights are compared byte for byte, since a loss may not see a
+        # change that feeds only dead units
         job = default_job(calib_n=32, mode=mode)
-        pools = _stage1(job)[1]
-        groups = [list(pools)] if mode == "global" else [[i] for i in pools]
+        results, pools = _stage1(job)[:2]
         rng = np.random.default_rng(3)
-        given = [w.copy() for w in job.model.layers]
-        weights = list(job.model.layers)
-        for group in groups:
-            passed = [w.copy() for w in weights]
-            evaluator = _MaskedLossEvaluator(job, weights, pools, group, [])
-            masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
-            parts = ("entries", "triplets", "both", "none", "entries", "entries", "triplets")
-            walk = [{}] + [{i: part} for part in parts for i in group]
-            if len(group) > 1:  # several layers at once, each changing its own part
-                for r in range(len(group)):
-                    order = group[r:] + group[:r]
-                    walk.append({order[0]: "triplets", order[1]: "entries"})  # the rest: none
-                    walk.append(dict(zip(order, ("entries", "triplets", "both"))))
-                    walk.append(dict.fromkeys(group, ("triplets", "entries", "both")[r % 3]))
-            for step, change in enumerate(walk):
-                for i, part in change.items():
-                    if part == "none":
-                        continue
-                    t = pools[i].n_triplets
-                    span = {"entries": slice(t, None), "triplets": slice(0, t), "both": slice(None)}
-                    bits = masks[i][span[part]]
-                    flip = rng.random(bits.size) < 0.5
-                    flip[rng.integers(bits.size)] = True
-                    bits[flip] ^= 1
-                loss = evaluator.loss(np.concatenate([masks[k] for k in group]))
-                full = list(weights)
-                for k in group:
-                    full[k] = reconstruct(pools[k], masks[k])
-                    assert evaluator.weights[k].tobytes() == full[k].tobytes(), (group, step)
-                assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(weights, passed))
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(job.model.layers, given))
-            for k in group:
-                weights[k] = full[k]
+        walk_in_place(job, pools, rng)
+        # a triplet-only, an entry-only and an all-zero layer, whose triplet
+        # positions, if any, all point at the spare buffer slot
+        none = SvdFactorization(u=np.zeros((24, 0)), sigma=np.zeros(0), v=np.zeros((24, 0)))
+        pools = {
+            0: build_pool(0, results[0].factors, np.zeros((32, 24))),
+            1: build_pool(1, none, results[1].s),
+            2: build_pool(2, replace(none, v=np.zeros((16, 0))), np.zeros((24, 16))),
+        }
+        assert pools[0].size == pools[0].n_triplets > 0
+        assert pools[1].size > pools[1].n_triplets == 0 and pools[2].size == 0
+        walk_in_place(job, pools, rng)
+
+    def test_rejects_masks_it_cannot_read_as_bool(self):
+        job = default_job(calib_n=8)
+        pools = _stage1(job)[1]
+        evaluator = _MaskedLossEvaluator(job, job.model.layers, pools, list(pools), [])
+        ones = np.ones(evaluator.costs.size, dtype=np.int8)
+        for bad in (ones.astype(np.int64), ones.astype(bool), ones[1:]):
+            with pytest.raises(ValueError, match="mask must be int8 of shape"):
+                evaluator.loss(bad)
+        assert evaluator.history == []
 
     def test_threshold_rows_forward_nothing(self, monkeypatch):
         made = []

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lrsprune import rpca
-from lrsprune.calibration import planted_matrix, planted_spectrum_matrix
-from lrsprune.linalg import frobenius_norm, svd
+from lrsprune.calibration import (
+    default_toy_model,
+    planted_matrix,
+    planted_model,
+    planted_spectrum_matrix,
+)
+from lrsprune.linalg import SvdError, SvdFactorization, as_matrix, frobenius_norm, svd
 from lrsprune.rpca import (
     MU_CAP_FACTOR,
     RANK_CUTOFF,
@@ -350,3 +355,107 @@ class TestTruncatedSvt:
         first, second = decompose(w), decompose(w)
         for part in ("l", "s", "y"):
             assert getattr(first, part).tobytes() == getattr(second, part).tobytes()
+
+
+def linalg_svt(a, tau, k, rng, start=None):
+    """``svt`` with every full-SVD step taken by ``linalg.svd``: every column
+    signed, then cut to the survivors, and the signed right vectors returned
+    as the start block. The range-finder path is ``svt``'s own."""
+    a = as_matrix(a)
+    while 2 * (k + rpca.OVERSAMPLE) < min(a.shape):
+        f = rpca._top_triplets(a, k + rpca.OVERSAMPLE, rng, start)
+        svp = int(np.count_nonzero(f.sigma > tau))
+        if svp < f.rank:
+            r = a @ f.v[:, svp] - f.sigma[svp] * f.u[:, svp]
+            if f.sigma[svp] + np.linalg.norm(r) <= tau:
+                break
+        k *= 2
+        start = f.v
+    else:
+        f = svd(a)
+    svp = int(np.count_nonzero(f.sigma > tau))
+    shrunk = SvdFactorization(
+        u=np.ascontiguousarray(f.u[:, :svp]),
+        sigma=svt_shrink(f.sigma[:svp], tau),
+        v=np.ascontiguousarray(f.v[:, :svp]),
+    )
+    return shrunk, f.v
+
+
+def reference_layers():
+    """(id, layer): the toy layers of model seed 0, whose steps all take the
+    full SVD, and three planted layers whose first step doubles up to it (the
+    256x256 one is layer 1 of the 3x256^2 stack of model seed 0); the 256x96
+    layer takes it again in later steps, between range-finder steps."""
+    toy = default_toy_model(np.random.default_rng(0)).layers
+    return [
+        *((f"toy{i}", w) for i, w in enumerate(toy)),
+        ("256x256", planted_model([(256, 256)] * 2, np.random.default_rng(0)).layers[1]),
+        ("192x256", planted_spectrum_matrix(192, 256, 16, np.random.default_rng(4), 0.99)[0]),
+        ("256x96", planted_spectrum_matrix(256, 96, 24, np.random.default_rng(4))[0]),
+    ]
+
+
+class TestFullSvdStep:
+    @pytest.mark.parametrize("shape", [(32, 24), (24, 24), (24, 16), (40, 30), (6, 9)])
+    @pytest.mark.parametrize("survivors", ["none", "some", "all"])
+    def test_equals_linalg_svd_cut_to_the_survivors(self, shape, survivors, rng):
+        a = rng.standard_normal(shape)
+        sigma = np.linalg.svd(a, compute_uv=False)
+        tau = {"none": sigma[0] + 1.0, "some": (sigma[1] + sigma[2]) / 2, "all": 0.0}[survivors]
+        f, block = svt(a, tau, min(shape), None)
+        full = svd(a)
+        svp = {"none": 0, "some": 2, "all": sigma.size}[survivors]
+        assert f.rank == svp
+        assert f.u.tobytes() == np.ascontiguousarray(full.u[:, :svp]).tobytes()
+        assert f.sigma.tobytes() == svt_shrink(full.sigma[:svp], tau).tobytes()
+        assert f.v.tobytes() == np.ascontiguousarray(full.v[:, :svp]).tobytes()
+        assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
+        # the start block is every right vector as the backend returns it, unsigned
+        assert np.array_equal(block, np.linalg.svd(a, full_matrices=False)[2].T)
+
+    def test_backend_failure_raises_svd_error(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(SvdError, match="did not converge"):
+            svt(rng.standard_normal((8, 6)), 0.5, 6, None)
+
+    @pytest.mark.parametrize("name, w", [pytest.param(*c, id=c[0]) for c in reference_layers()])
+    def test_decompose_equals_the_linalg_svd_reference(self, name, w, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(rpca, "svt", linalg_svt)
+            expected = decompose(w)
+        steps, last = [], []  # per SVT step, its paths: "rf" range finder, "full" SVD
+        original_svt, original_rf, original_full = rpca.svt, rpca._top_triplets, rpca.thin_svd
+
+        def counted_svt(*args):
+            steps.append([])
+            out = original_svt(*args)
+            last[:] = [out[0]]
+            return out
+
+        monkeypatch.setattr(rpca, "svt", counted_svt)
+        monkeypatch.setattr(
+            rpca, "_top_triplets", lambda *args: steps[-1].append("rf") or original_rf(*args)
+        )
+        monkeypatch.setattr(
+            rpca, "thin_svd", lambda a: steps[-1].append("full") or original_full(a)
+        )
+        res = decompose(w)
+        for part in ("l", "s", "y"):
+            assert getattr(res, part).tobytes() == getattr(expected, part).tobytes(), part
+        assert res.residual_history == expected.residual_history
+        for part in ("u", "sigma", "v"):
+            got, want = getattr(res.factors, part), getattr(expected.factors, part)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, part
+            # and they are the last step's, as it returned them
+            assert got.tobytes() == getattr(last[0], part).tobytes(), part
+        assert res.iterations == expected.iterations == len(steps)
+        if name.startswith("toy"):
+            assert all(step == ["full"] for step in steps)
+        else:
+            # the first step doubles up to the full path, and the next one
+            # starts the range finder from the block that path returned
+            assert steps[0][0] == "rf" and steps[0][-1] == "full" and steps[1][0] == "rf"
