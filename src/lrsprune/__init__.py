@@ -21,12 +21,10 @@ from .calibration import (
     CalibrationSet,
     CompressedLayer,
     ToyModel,
-    default_toy_model,
     factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
-    planted_matrix,
     planted_model,
     planted_spectrum_matrix,
     reconstruct,
@@ -48,7 +46,6 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .oracle import OracleResult, brute_force_best_mask, exact_expected_loss, exact_expected_loss_grad
 from .pipeline import (
     CompressionJob,
     CompressionReport,
@@ -57,6 +54,7 @@ from .pipeline import (
     ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
+    job_from_config,
     run,
     sweep_lambda,
 )

@@ -8,6 +8,7 @@ calibration records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,21 +18,23 @@ from .pool import CandidatePool
 
 ACTIVATIONS = ("relu", "identity")
 
-# default planted toy model: shapes, rank rule min(m, n) // 12, 5% outliers,
-# per-layer geometric spectrum decays (steep / flat / middling)
-TOY_SHAPES = ((32, 24), (24, 24), (24, 16))
+# planted layers: 5% outliers at 10x the mean low-rank magnitude, per-layer
+# geometric spectrum decays (steep / flat / middling)
 TOY_OUTLIER_FRAC = 0.05
 TOY_OUTLIER_SCALE = 10.0
 TOY_SPECTRUM_DECAYS = (0.85, 0.95, 0.9)
 
 
-def _forward(weights, activation: str, x: np.ndarray) -> np.ndarray:
-    h = x
-    last = len(weights) - 1
-    for i, w in enumerate(weights):
-        h = h @ w
-        if i < last and activation == "relu":
-            h = np.maximum(h, 0.0)
+def _forward(weights, activation: str, acts: list) -> np.ndarray:
+    """Output of the stack run from layer ``len(acts) - 1`` on its input
+    ``acts[-1]``; the input of each later layer is appended to ``acts``."""
+    h, last = acts[-1], len(weights) - 1
+    for k in range(len(acts) - 1, last + 1):
+        h = h @ weights[k]
+        if k < last:
+            if activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            acts.append(h)
     return h
 
 
@@ -66,8 +69,7 @@ class ToyModel:
         return int(sum(w.size for w in self.layers))
 
     def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return _forward(self.layers, self.activation, x)
+        return _forward(self.layers, self.activation, [np.asarray(x, dtype=np.float64)])
 
 
 @dataclass
@@ -80,6 +82,8 @@ class CalibrationSet:
         self.targets = as_matrix(self.targets)
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must pair up row by row")
+        if self.inputs.shape[0] == 0:
+            raise ValueError("calibration set needs at least one record")
 
     @property
     def size(self) -> int:
@@ -93,8 +97,8 @@ def gen_calibration(
     optionally perturbed by isotropic noise."""
     if n < 1:
         raise ValueError("need at least one calibration record")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be non-negative and finite, got {noise_sigma}")
     x = rng.standard_normal((n, model.input_dim))
     y = model.forward(x)
     if noise_sigma > 0:
@@ -113,7 +117,7 @@ def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
 def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error of a weight stack; overflow does not warn."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _output_loss(_forward(weights, activation, calib.inputs), calib)
+        return _output_loss(_forward(weights, activation, [calib.inputs]), calib)
 
 
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
@@ -193,37 +197,6 @@ def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> flo
     return _task_loss(weights, model.activation, calib)
 
 
-def planted_matrix(
-    rows: int,
-    cols: int,
-    rank: int,
-    rng: np.random.Generator,
-    outlier_frac: float = 0.05,
-    outlier_scale: float = 10.0,
-    scale: float | None = None,
-):
-    """Ground-truth low-rank plus sparse matrix for recovery experiments.
-
-    The low-rank part is a product of standard-normal factors; outliers sit
-    on a uniform random support with exact magnitude
-    ``outlier_scale * mean|low_rank|`` and random sign. ``scale`` rescales
-    the whole construction.
-
-    Returns:
-        (w, l0, s0) with w = l0 + s0.
-    """
-    if rank < 1 or rank > min(rows, cols):
-        raise ValueError("rank must lie in [1, min(rows, cols)]")
-    if not 0.0 <= outlier_frac < 1.0:
-        raise ValueError("outlier_frac must lie in [0, 1)")
-    l0 = rng.standard_normal((rows, rank)) @ rng.standard_normal((cols, rank)).T
-    s0 = _plant_outliers(l0, rng, outlier_frac, outlier_scale)
-    if scale is not None:
-        l0 = l0 * scale
-        s0 = s0 * scale
-    return l0 + s0, l0, s0
-
-
 def _plant_outliers(l0, rng: np.random.Generator, outlier_frac, outlier_scale):
     """Sparse outliers on a uniform random support, random sign.
 
@@ -285,8 +258,8 @@ def planted_spectrum_matrix(
     The low-rank part is built from random orthonormal factors with
     singular values sigma_k proportional to decay**k, so every planted
     direction carries comparable real mass instead of the lopsided
-    spectrum a plain gaussian product gives. Outliers are planted as in
-    planted_matrix, then the whole matrix is rescaled so ||W||_F^2 = cols
+    spectrum a plain gaussian product gives. Outliers are planted by
+    ``_plant_outliers``, then the whole matrix is rescaled so ||W||_F^2 = cols
     (unit average output second moment under standard normal inputs,
     which keeps task losses O(1) per record).
 
@@ -315,7 +288,6 @@ def planted_model(
     decays=None,
     outlier_frac: float = TOY_OUTLIER_FRAC,
     outlier_scale: float = TOY_OUTLIER_SCALE,
-    activation: str = "relu",
 ) -> ToyModel:
     """Stack of planted spectrum layers with O(1) activations.
 
@@ -347,9 +319,5 @@ def planted_model(
             outlier_scale=outlier_scale,
         )
         layers.append(w)
-    return ToyModel(layers=layers, activation=activation)
+    return ToyModel(layers=layers)
 
-
-def default_toy_model(rng: np.random.Generator) -> ToyModel:
-    """Three planted rectifier layers, 32x24 / 24x24 / 24x16."""
-    return planted_model(TOY_SHAPES, rng)

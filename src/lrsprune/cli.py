@@ -22,9 +22,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .calibration import CalibrationSet, ToyModel, gen_calibration, planted_model
+from .calibration import CalibrationSet, ToyModel
 from .linalg import SvdError
 from .matio import (
     ConfigError,
@@ -36,7 +34,7 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .pipeline import CompressionJob, ablate_threshold, run, sweep_lambda
+from .pipeline import ablate_threshold, job_from_config, run, sweep_lambda
 from .rpca import NonConvergenceError, decompose
 
 
@@ -74,38 +72,21 @@ def _load_config(args) -> JobConfig:
     return replace(config, model_seed=args.seed, pg=replace(config.pg, seed=args.seed))
 
 
-def _job(config: JobConfig, model: ToyModel, calib: CalibrationSet) -> CompressionJob:
-    return CompressionJob(
-        model=model,
-        calib=calib,
-        rpca_config=config.rpca,
-        pg_config=config.pg,
-        budget_fraction=config.budget_fraction,
-        mode=config.mode,
-    )
-
-
-def _synthetic(config: JobConfig) -> tuple[ToyModel, CalibrationSet]:
-    rng = np.random.default_rng(config.model_seed)
-    model = planted_model(config.shapes, rng)
-    return model, gen_calibration(model, config.calib_n, config.calib_noise, rng)
-
-
 def _say(args, text: str) -> None:
     if not args.quiet:
         print(text)
 
 
 def cmd_gen(args) -> int:
-    model, calib = _synthetic(_load_config(args))
+    job = job_from_config(_load_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, w in enumerate(model.layers):
+    for i, w in enumerate(job.model.layers):
         path = out / f"layer{i}.weight.capm"
         write_matrix(path, w)
         _say(args, str(path))
-    write_matrix(out / "calib.inputs.capm", calib.inputs)
-    write_matrix(out / "calib.targets.capm", calib.targets)
+    write_matrix(out / "calib.inputs.capm", job.calib.inputs)
+    write_matrix(out / "calib.targets.capm", job.calib.targets)
     _say(args, str(out / "calib.inputs.capm"))
     _say(args, str(out / "calib.targets.capm"))
     return 0
@@ -148,7 +129,7 @@ def _read_model_dir(model_dir: Path) -> tuple[ToyModel, CalibrationSet]:
 def cmd_compress(args) -> int:
     config = _load_config(args)
     model, calib = _read_model_dir(Path(args.model_dir))
-    report, compressed = run(_job(config, model, calib))
+    report, compressed = run(job_from_config(config, model, calib))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # every output is written into a sibling temporary directory first, so a
@@ -207,7 +188,7 @@ def _write_table(args, lines: list[str], name: str) -> None:
 def cmd_sweep_lambda(args) -> int:
     config = _load_config(args)
     lambdas = _parse_lambdas(args.lambdas)
-    rows = sweep_lambda(_job(config, *_synthetic(config)), lambdas)
+    rows = sweep_lambda(job_from_config(config), lambdas)
     lines = ["lambda\trank_l\tsparsity_s\tfinal_loss\ttotal_nnz_s"]
     for row in rows:
         label = "auto" if row.lam is None else _fmt(row.lam)
@@ -222,7 +203,7 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_ablate_threshold(args) -> int:
     config = _load_config(args)
     lines = ["fraction\tvariant\tfinal_loss\tused_cost"]
-    for variant, report in ablate_threshold(_job(config, *_synthetic(config))):
+    for variant, report in ablate_threshold(job_from_config(config)):
         lines.append(
             f"{_fmt(config.budget_fraction)}\t{variant}\t"
             f"{_fmt(report.final_loss)}\t{report.used_cost}"

@@ -34,15 +34,17 @@ from .allocator import (
 from .calibration import (
     CalibrationSet,
     ToyModel,
+    _forward,
     _output_loss,
     _task_loss,
-    default_toy_model,
     factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
+    planted_model,
     reconstruct,
 )
+from .matio import JobConfig, parse_job_config
 from .pool import build_pool, param_count
 from .rpca import RpcaConfig, decompose
 
@@ -142,7 +144,7 @@ class _MaskedLossEvaluator:
     """
 
     def __init__(self, job, weights, pools, group, history):
-        self.relu = job.model.activation == "relu"
+        self.activation = job.model.activation
         self.calib = job.calib
         self.pools = pools
         self.weights = list(weights)
@@ -190,16 +192,8 @@ class _MaskedLossEvaluator:
             self._at = at = self._pos_at[kept]
             self._under = under = self._buffer[at]
             self._buffer[at] = under + self._pos_values[kept]
-            acts = self._acts
-            del acts[first + 1 :]
-            h, last = acts[-1], len(self.weights) - 1
-            for k in range(len(acts) - 1, last + 1):
-                h = h @ self.weights[k]
-                if k < last:
-                    if self.relu:
-                        np.maximum(h, 0.0, out=h)
-                    acts.append(h)
-            self._loss = _output_loss(h, self.calib)
+            del self._acts[first + 1 :]
+            self._loss = _output_loss(_forward(self.weights, self.activation, self._acts), self.calib)
         self.history.append(self._loss)
         return self._loss
 
@@ -372,6 +366,26 @@ def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:
     return rows
 
 
+def job_from_config(
+    config: JobConfig, model: ToyModel | None = None, calib: CalibrationSet | None = None
+) -> CompressionJob:
+    """The job a parsed configuration describes, on ``model`` and its ``calib``
+    if given; otherwise a planted model of ``config.shapes`` and its
+    calibration set are drawn from one generator seeded with ``config.model_seed``."""
+    if model is None:
+        rng = np.random.default_rng(config.model_seed)
+        model = planted_model(config.shapes, rng)
+        calib = gen_calibration(model, config.calib_n, config.calib_noise, rng)
+    return CompressionJob(
+        model=model,
+        calib=calib,
+        rpca_config=config.rpca,
+        pg_config=config.pg,
+        budget_fraction=config.budget_fraction,
+        mode=config.mode,
+    )
+
+
 def default_job(
     model_seed: int = 0,
     pg_seed: int = 0,
@@ -382,15 +396,16 @@ def default_job(
     rpca_config: RpcaConfig | None = None,
     pg_config: PolicyGradientConfig | None = None,
 ) -> CompressionJob:
-    """Planted three-layer job with the stock defaults."""
-    rng = np.random.default_rng(model_seed)
-    model = default_toy_model(rng)
-    calib = gen_calibration(model, calib_n, calib_noise, rng)
-    return CompressionJob(
-        model=model,
-        calib=calib,
-        rpca_config=rpca_config if rpca_config is not None else RpcaConfig(),
-        pg_config=pg_config if pg_config is not None else PolicyGradientConfig(seed=pg_seed),
+    """Planted three-layer job: the stock configuration with these values."""
+    stock = parse_job_config("")
+    config = replace(
+        stock,
+        model_seed=model_seed,
+        calib_n=calib_n,
+        calib_noise=calib_noise,
+        rpca=rpca_config if rpca_config is not None else stock.rpca,
+        pg=pg_config if pg_config is not None else replace(stock.pg, seed=pg_seed),
         budget_fraction=budget_fraction,
         mode=mode,
     )
+    return job_from_config(config)

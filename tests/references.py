@@ -1,7 +1,9 @@
-"""Exhaustive references for small mask-selection problems.
+"""Reference code that only tests call: exhaustive oracles for small
+mask-selection problems, a plain planted matrix, and the default toy model
+and single-layer job the tests share.
 
-Only practical for pools of a few dozen candidates at most; the pruning
-pipeline never calls these, tests do.
+The oracles enumerate every mask, so they are only practical for pools of a
+few dozen candidates at most.
 """
 
 from __future__ import annotations
@@ -10,10 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import CandidatePool
+from lrsprune.allocator import PolicyGradientConfig
+from lrsprune.calibration import ToyModel, _plant_outliers, gen_calibration, planted_model
+from lrsprune.pipeline import CompressionJob
+from lrsprune.pool import CandidatePool
 
 BRUTE_FORCE_CAP = 20
 ENUMERATION_CAP = 16
+
+# the default planted toy model's layer shapes
+TOY_SHAPES = ((32, 24), (24, 24), (24, 16))
 
 
 def _costs_of(pool) -> np.ndarray:
@@ -99,3 +107,55 @@ def exact_expected_loss_grad(probs, loss_fn) -> np.ndarray:
             others = float(np.prod(np.delete(weights, k)))
             grad[k] += loss * others * (1.0 if bits[k] else -1.0)
     return grad
+
+
+def planted_matrix(
+    rows: int,
+    cols: int,
+    rank: int,
+    rng: np.random.Generator,
+    outlier_frac: float = 0.05,
+    outlier_scale: float = 10.0,
+    scale: float | None = None,
+):
+    """Ground-truth low-rank plus sparse matrix for recovery experiments.
+
+    The low-rank part is a product of standard-normal factors; outliers sit
+    on a uniform random support with exact magnitude
+    ``outlier_scale * mean|low_rank|`` and random sign. ``scale`` rescales
+    the whole construction.
+
+    Returns:
+        (w, l0, s0) with w = l0 + s0.
+    """
+    if rank < 1 or rank > min(rows, cols):
+        raise ValueError("rank must lie in [1, min(rows, cols)]")
+    if not 0.0 <= outlier_frac < 1.0:
+        raise ValueError("outlier_frac must lie in [0, 1)")
+    l0 = rng.standard_normal((rows, rank)) @ rng.standard_normal((cols, rank)).T
+    s0 = _plant_outliers(l0, rng, outlier_frac, outlier_scale)
+    if scale is not None:
+        l0 = l0 * scale
+        s0 = s0 * scale
+    return l0 + s0, l0, s0
+
+
+def default_toy_model(rng: np.random.Generator) -> ToyModel:
+    """Three planted rectifier layers, 32x24 / 24x24 / 24x16."""
+    return planted_model(TOY_SHAPES, rng)
+
+
+def single_layer_job(seed: int, budget_fraction: float, calib_n: int = 256) -> CompressionJob:
+    """One 24x16 layer, planted rank 1 plus 7 graded outliers: at most 12
+    candidates, so the exhaustive selection oracle stays cheap."""
+    rng = np.random.default_rng(seed)
+    model = planted_model(
+        [(24, 16)], rng, ranks=[1], outlier_frac=7 / 384, outlier_scale=(6.0, 18.0)
+    )
+    calib = gen_calibration(model, calib_n, 0.0, rng)
+    return CompressionJob(
+        model=model,
+        calib=calib,
+        pg_config=PolicyGradientConfig(seed=seed),
+        budget_fraction=budget_fraction,
+    )

@@ -15,22 +15,25 @@ from lrsprune import (
     CompressionJob,
     PolicyGradientConfig,
     RpcaConfig,
-    brute_force_best_mask,
     build_pool,
     decompose,
     default_job,
     default_lambda,
-    default_toy_model,
-    exact_expected_loss_grad,
     gen_calibration,
     loss_with_masks,
-    planted_matrix,
     planted_model,
     reconstruct,
     run,
 )
 from lrsprune.cli import main
 from lrsprune.pipeline import _learner, _magnitude_fill, _select, _stage1
+from references import (
+    brute_force_best_mask,
+    default_toy_model,
+    exact_expected_loss_grad,
+    planted_matrix,
+    single_layer_job,
+)
 
 
 def announce(name: str, detail: str) -> None:
@@ -93,28 +96,12 @@ def test_estimator_unbiasedness():
     )
 
 
-def _small_pool_job(seed: int, budget_fraction: float) -> CompressionJob:
-    # one 24x16 layer, planted rank 1 plus 7 graded outliers: at most
-    # 12 candidates, so the exhaustive selection oracle stays cheap
-    rng = np.random.default_rng(seed)
-    model = planted_model(
-        [(24, 16)], rng, ranks=[1], outlier_frac=7 / 384, outlier_scale=(6.0, 18.0)
-    )
-    calib = gen_calibration(model, 256, 0.0, rng)
-    return CompressionJob(
-        model=model,
-        calib=calib,
-        pg_config=PolicyGradientConfig(seed=seed),
-        budget_fraction=budget_fraction,
-    )
-
-
 def test_near_oracle_selection():
     start = time.perf_counter()
     hits = 0
     ratios = []
     for seed in range(10):
-        job = _small_pool_job(seed, budget_fraction=4 / 384)
+        job = single_layer_job(seed, budget_fraction=4 / 384)
         report, _ = run(job)
         result = decompose(job.model.layers[0], job.rpca_config)
         pool = build_pool(0, result.factors, result.s)

@@ -21,7 +21,7 @@ from lrsprune.allocator import (
     reinforce_step,
     sample_mask,
 )
-from lrsprune.oracle import exact_expected_loss, exact_expected_loss_grad
+from references import exact_expected_loss, exact_expected_loss_grad
 
 
 def projection_oracle(s, c, budget):

@@ -6,15 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrsprune.calibration import (
-    TOY_SHAPES,
     CalibrationSet,
     ToyModel,
-    default_toy_model,
     factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
-    planted_matrix,
     planted_model,
     planted_spectrum_matrix,
     random_orthonormal,
@@ -23,6 +20,7 @@ from lrsprune.calibration import (
 from lrsprune.linalg import SvdFactorization, frobenius_norm, svd
 from lrsprune.pool import build_pool, param_count
 from lrsprune.rpca import decompose
+from references import TOY_SHAPES, default_toy_model, planted_matrix
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +91,17 @@ class TestCalibration:
             gen_calibration(model, 4, -0.1, rng)
         with pytest.raises(ValueError):
             CalibrationSet(inputs=np.zeros((3, 2)), targets=np.zeros((4, 2)))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            CalibrationSet(inputs=np.zeros((0, 2)), targets=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma, rng):
+        # NaN fails both `< 0` and `> 0`, so without the check it meant no noise
+        model = default_toy_model(rng)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            gen_calibration(model, 4, sigma, rng)
 
     def test_forward_loss_hand_value(self):
         model = ToyModel(layers=[np.eye(2)], activation="identity")

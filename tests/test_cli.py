@@ -376,6 +376,15 @@ class TestCompress:
     def test_missing_model_dir_exit_code(self, tmp_path):
         assert main(["compress", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 5
 
+    def test_empty_calibration_exit_code(self, tmp_path, tiny_config, model_dir, capsys):
+        write_matrix(model_dir / "calib.inputs.capm", np.zeros((0, 12)))
+        write_matrix(model_dir / "calib.targets.capm", np.zeros((0, 6)))
+        out = tmp_path / "o"
+        argv = ["compress", str(model_dir), "--config", str(tiny_config), "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 2
+        assert "at least one record" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_calibration_dim_mismatch_exit_code(self, tmp_path, tiny_config, model_dir, capsys):
         write_matrix(model_dir / "calib.inputs.capm", np.zeros((16, 5)))
         out = tmp_path / "o"

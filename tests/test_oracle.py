@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from lrsprune.linalg import svd
-from lrsprune.oracle import brute_force_best_mask, exact_expected_loss
 from lrsprune.pool import build_pool
+from references import brute_force_best_mask, exact_expected_loss
 
 
 def zeros_count_loss(bits):

@@ -18,7 +18,7 @@ from lrsprune.calibration import (
     reconstruct,
 )
 from lrsprune.linalg import SvdFactorization
-from lrsprune.oracle import brute_force_best_mask
+from lrsprune.matio import parse_job_config
 from lrsprune.pipeline import (
     COMPONENT_CHOICES,
     MODES,
@@ -28,11 +28,13 @@ from lrsprune.pipeline import (
     ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
+    job_from_config,
     run,
     sweep_lambda,
 )
 from lrsprune.pool import build_pool
 from lrsprune.rpca import RpcaConfig, decompose
+from references import brute_force_best_mask, single_layer_job
 
 
 @pytest.fixture(scope="module")
@@ -41,21 +43,6 @@ def quick_run():
     job = default_job(calib_n=32)
     report, compressed = run(job)
     return job, report, compressed
-
-
-def single_layer_job(seed, budget_fraction, calib_n=256):
-    """One 24x16 layer, one planted direction, seven graded outliers."""
-    rng = np.random.default_rng(seed)
-    model = planted_model(
-        [(24, 16)], rng, ranks=[1], outlier_frac=7 / 384, outlier_scale=(6.0, 18.0)
-    )
-    calib = gen_calibration(model, calib_n, 0.0, rng)
-    return CompressionJob(
-        model=model,
-        calib=calib,
-        pg_config=PolicyGradientConfig(seed=seed),
-        budget_fraction=budget_fraction,
-    )
 
 
 class TestJobValidation:
@@ -81,6 +68,42 @@ class TestJobValidation:
         narrow = CalibrationSet(inputs=job.calib.inputs[:4], targets=np.zeros((4, 3)))
         with pytest.raises(ValueError, match=r"targets \(4, 3\)"):
             CompressionJob(model=job.model, calib=narrow)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_calib_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            default_job(calib_noise=noise)
+
+
+class TestJobFromConfig:
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            ("", {}),
+            ("model.seed = 3\n", dict(model_seed=3)),
+            ("budget.fraction = 0.15\n", dict(budget_fraction=0.15)),
+            ("mode = sequential\n", dict(mode="sequential")),
+            (
+                "model.seed = 3\npg.seed = 3\nbudget.fraction = 0.15\nmode = sequential\n",
+                dict(model_seed=3, pg_seed=3, budget_fraction=0.15, mode="sequential"),
+            ),
+        ],
+    )
+    def test_agrees_with_default_job(self, text, kwargs):
+        # the CLI builds its jobs from configs, the API from default_job
+        got, want = job_from_config(parse_job_config(text)), default_job(**kwargs)
+        assert [w.tobytes() for w in got.model.layers] == [w.tobytes() for w in want.model.layers]
+        assert got.model.activation == want.model.activation
+        assert got.calib.inputs.tobytes() == want.calib.inputs.tobytes()
+        assert got.calib.targets.tobytes() == want.calib.targets.tobytes()
+        assert (got.rpca_config, got.pg_config) == (want.rpca_config, want.pg_config)
+        assert (got.budget_fraction, got.mode) == (want.budget_fraction, want.mode)
+
+    def test_given_model_and_calibration_are_kept(self, quick_run):
+        job = quick_run[0]
+        built = job_from_config(parse_job_config("mode = sequential\n"), job.model, job.calib)
+        assert built.model is job.model and built.calib is job.calib
+        assert built.mode == "sequential"
 
 
 class TestRunReport:

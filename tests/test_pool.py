@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrsprune.calibration import factorize, planted_matrix, reconstruct
+from lrsprune.calibration import factorize, reconstruct
 from lrsprune.linalg import SvdFactorization, svd
 from lrsprune.pool import build_pool, param_count
 from lrsprune.rpca import decompose
+from references import planted_matrix
 
 
 def rank2_plus_entries():

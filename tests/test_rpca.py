@@ -10,8 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from lrsprune import rpca
 from lrsprune.calibration import (
-    default_toy_model,
-    planted_matrix,
     planted_model,
     planted_spectrum_matrix,
 )
@@ -29,6 +27,7 @@ from lrsprune.rpca import (
     svt_shrink,
     update_s,
 )
+from references import default_toy_model, planted_matrix
 
 
 def full_svd_ialm(w, config=RpcaConfig()):
