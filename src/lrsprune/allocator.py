@@ -28,7 +28,8 @@ EPSILON = 1e-8  # the eps of the score-function gradient's denominator
 class PolicyGradientConfig:
     learning_rate: float = 0.05
     baseline_beta: float = 0.9
-    iterations: int = 3  # outer passes over the calibration set
+    # a budget group takes iterations * calib.n learning steps, each scoring every record
+    iterations: int = 3
     window: int = 5  # recent losses averaged into the baseline signal
     seed: int = 0
 

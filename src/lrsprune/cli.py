@@ -30,7 +30,6 @@ from .matio import (
     MatrixFormatError,
     format_matrix_text,
     load_job_config,
-    parse_job_config,
     read_matrix,
     write_matrix,
 )
@@ -64,7 +63,7 @@ def format_report(report) -> str:
 
 
 def _load_config(args) -> JobConfig:
-    config = load_job_config(args.config) if args.config is not None else parse_job_config("")
+    config = load_job_config(args.config) if args.config is not None else JobConfig()
     if getattr(args, "seed", None) is None:
         return config
     if args.seed < 0:

@@ -11,9 +11,10 @@ Matrix container layout, all little-endian:
 Writing then reading reproduces the payload bit for bit.
 
 Job configuration files are flat ``key = value`` lines; ``#`` starts a
-comment, blank lines are skipped, unknown keys are rejected. Parsing builds
-the ``RpcaConfig`` and ``PolicyGradientConfig`` directly, so each value is
-range-checked once, by the object that consumes it.
+comment, blank lines are skipped, unknown and repeated keys are rejected.
+Each key is one row of ``KEYS``; a key left out keeps its field's default
+in ``JobConfig()``, the stock job. Each value is range-checked once, by the
+object that consumes it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,37 +82,22 @@ def format_matrix_text(a) -> str:
     return "\n".join(lines) + "\n"
 
 
-CONFIG_DEFAULTS: dict[str, str] = {
-    "model.seed": "0",
-    "model.shapes": "32x24,24x24,24x16",
-    "calib.n": "128",
-    "calib.noise": "0",
-    "rpca.lambda": "auto",
-    "rpca.tol": "1e-7",
-    "rpca.max_iters": "500",
-    "pg.lr": "0.05",
-    "pg.beta": "0.9",
-    "pg.iterations": "3",
-    "pg.window": "5",
-    "pg.seed": "0",
-    "budget.fraction": "0.5",
-    "mode": "global",
-}
+MODES = ("global", "sequential")
 
 
 @dataclass(frozen=True)
 class JobConfig:
-    """A parsed job: the synthetic-model recipe, the budget and mode, and the
-    solver configurations, each already range-checked by its own class."""
+    """A job: the synthetic-model recipe, the budget and mode, and the solver
+    configurations. The field defaults are the stock job."""
 
-    model_seed: int
-    shapes: list[tuple[int, int]]
-    calib_n: int
-    calib_noise: float
-    rpca: RpcaConfig
-    pg: PolicyGradientConfig
-    budget_fraction: float
-    mode: str
+    model_seed: int = 0
+    shapes: list[tuple[int, int]] = field(default_factory=lambda: [(32, 24), (24, 24), (24, 16)])
+    calib_n: int = 128
+    calib_noise: float = 0.0
+    rpca: RpcaConfig = field(default_factory=RpcaConfig)
+    pg: PolicyGradientConfig = field(default_factory=PolicyGradientConfig)
+    budget_fraction: float = 0.5
+    mode: str = "global"
 
 
 def _parse_shapes(text: str) -> list[tuple[int, int]]:
@@ -133,11 +119,23 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
     return shapes
 
 
-def _typed(raw: dict[str, str], key: str, kind):
-    try:
-        return kind(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from exc
+# config key -> (section: JobConfig's "job" fields or its "rpca" or "pg", field, parser)
+KEYS = {
+    "model.seed": ("job", "model_seed", int),
+    "model.shapes": ("job", "shapes", _parse_shapes),
+    "calib.n": ("job", "calib_n", int),
+    "calib.noise": ("job", "calib_noise", float),
+    "rpca.lambda": ("rpca", "lam", lambda v: None if v == "auto" else float(v)),
+    "rpca.tol": ("rpca", "tol", float),
+    "rpca.max_iters": ("rpca", "max_iters", int),
+    "pg.lr": ("pg", "learning_rate", float),
+    "pg.beta": ("pg", "baseline_beta", float),
+    "pg.iterations": ("pg", "iterations", int),
+    "pg.window": ("pg", "window", int),
+    "pg.seed": ("pg", "seed", int),
+    "budget.fraction": ("job", "budget_fraction", float),
+    "mode": ("job", "mode", str),
+}
 
 
 @contextmanager
@@ -150,12 +148,12 @@ def _section(name: str):
 
 
 def parse_job_config(text: str) -> JobConfig:
-    """Parse configuration text over the documented defaults.
+    """The stock ``JobConfig`` with the keys the text sets, each set once.
 
     ``RpcaConfig`` and ``PolicyGradientConfig`` range-check their own keys;
     the recipe, budget and mode keys are checked here.
     """
-    raw = dict(CONFIG_DEFAULTS)
+    given = {"job": {}, "rpca": {}, "pg": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -164,52 +162,34 @@ def parse_job_config(text: str) -> JobConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, name, parse = KEYS[key]
+        if name in given[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        raw[key] = value
-
-    mode = raw["mode"]
-    if mode not in ("global", "sequential"):
-        raise ConfigError(f"mode: expected global or sequential, got {mode!r}")
-    fraction = _typed(raw, "budget.fraction", float)
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"budget.fraction: must lie in (0, 1], got {fraction}")
-    noise = _typed(raw, "calib.noise", float)
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ConfigError(f"calib.noise: must be non-negative and finite, got {noise}")
-    calib_n = _typed(raw, "calib.n", int)
-    if calib_n < 1:
-        raise ConfigError(f"calib.n: must be positive, got {calib_n}")
-    model_seed = _typed(raw, "model.seed", int)
-    if model_seed < 0:
-        raise ConfigError(f"model.seed: must be non-negative, got {model_seed}")
+        try:
+            given[section][name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {value!r}") from exc
 
     with _section("rpca"):
-        rpca = RpcaConfig(
-            lam=None if raw["rpca.lambda"] == "auto" else _typed(raw, "rpca.lambda", float),
-            tol=_typed(raw, "rpca.tol", float),
-            max_iters=_typed(raw, "rpca.max_iters", int),
-        )
+        rpca = RpcaConfig(**given["rpca"])
     with _section("pg"):
-        pg = PolicyGradientConfig(
-            learning_rate=_typed(raw, "pg.lr", float),
-            baseline_beta=_typed(raw, "pg.beta", float),
-            iterations=_typed(raw, "pg.iterations", int),
-            window=_typed(raw, "pg.window", int),
-            seed=_typed(raw, "pg.seed", int),
-        )
-    return JobConfig(
-        model_seed=model_seed,
-        shapes=_parse_shapes(raw["model.shapes"]),
-        calib_n=calib_n,
-        calib_noise=noise,
-        rpca=rpca,
-        pg=pg,
-        budget_fraction=fraction,
-        mode=mode,
-    )
+        pg = PolicyGradientConfig(**given["pg"])
+    config = JobConfig(rpca=rpca, pg=pg, **given["job"])
+    if config.mode not in MODES:
+        raise ConfigError(f"mode: expected {' or '.join(MODES)}, got {config.mode!r}")
+    if not 0.0 < config.budget_fraction <= 1.0:
+        raise ConfigError(f"budget.fraction: must lie in (0, 1], got {config.budget_fraction}")
+    if not (math.isfinite(config.calib_noise) and config.calib_noise >= 0):
+        raise ConfigError(f"calib.noise: must be non-negative and finite, got {config.calib_noise}")
+    if config.calib_n < 1:
+        raise ConfigError(f"calib.n: must be positive, got {config.calib_n}")
+    if config.model_seed < 0:
+        raise ConfigError(f"model.seed: must be non-negative, got {config.model_seed}")
+    return config
 
 
 def load_job_config(path) -> JobConfig:

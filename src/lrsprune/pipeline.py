@@ -44,11 +44,10 @@ from .calibration import (
     planted_model,
     reconstruct,
 )
-from .matio import JobConfig, parse_job_config
+from .matio import MODES, JobConfig
 from .pool import build_pool, param_count
 from .rpca import RpcaConfig, decompose
 
-MODES = ("global", "sequential")
 COMPONENT_CHOICES = ("both", "low_rank_only", "sparse_only")
 
 
@@ -386,26 +385,11 @@ def job_from_config(
     )
 
 
-def default_job(
-    model_seed: int = 0,
-    pg_seed: int = 0,
-    budget_fraction: float = 0.5,
-    calib_n: int = 128,
-    calib_noise: float = 0.0,
-    mode: str = "global",
-    rpca_config: RpcaConfig | None = None,
-    pg_config: PolicyGradientConfig | None = None,
-) -> CompressionJob:
-    """Planted three-layer job: the stock configuration with these values."""
-    stock = parse_job_config("")
-    config = replace(
-        stock,
-        model_seed=model_seed,
-        calib_n=calib_n,
-        calib_noise=calib_noise,
-        rpca=rpca_config if rpca_config is not None else stock.rpca,
-        pg=pg_config if pg_config is not None else replace(stock.pg, seed=pg_seed),
-        budget_fraction=budget_fraction,
-        mode=mode,
-    )
+def default_job(*, pg_seed: int | None = None, **fields) -> CompressionJob:
+    """Planted job: ``JobConfig(**fields)``, the stock configuration with the
+    given fields (``model_seed``, ``calib_n``, ``budget_fraction``, ``mode``, ...),
+    and ``pg_seed``, if given, as the learner's seed."""
+    config = JobConfig(**fields)
+    if pg_seed is not None:
+        config = replace(config, pg=replace(config.pg, seed=pg_seed))
     return job_from_config(config)

@@ -1,5 +1,7 @@
 """File formats, job configuration parsing, and the command line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from lrsprune import cli, pipeline
 from lrsprune.calibration import ToyModel
 from lrsprune.cli import format_report, main
 from lrsprune.matio import (
-    CONFIG_DEFAULTS,
+    KEYS,
     ConfigError,
+    JobConfig,
     MatrixFormatError,
     format_matrix_text,
     parse_job_config,
@@ -88,6 +91,40 @@ class TestMatrixContainer:
         assert parsed.tobytes() == a.tobytes()
 
 
+def readme_config_block() -> str:
+    """The README's fenced block of documented config keys."""
+    fenced = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+    return next(block for block in fenced if block.lstrip().startswith("model.seed = "))
+
+
+def flat_fields(config: JobConfig) -> dict:
+    """Every setting of a config, keyed by (section, field) as in ``KEYS``."""
+    flat = {("job", name): value for name, value in vars(config).items()}
+    for section in ("rpca", "pg"):
+        solver = flat.pop(("job", section))
+        flat.update({(section, name): value for name, value in vars(solver).items()})
+    return flat
+
+
+# one valid non-default value per config key: the line, and the field it sets
+KEY_CASES = [
+    ("model.seed = 4", "job", "model_seed", 4),
+    ("model.shapes = 8x6", "job", "shapes", [(8, 6)]),
+    ("calib.n = 16", "job", "calib_n", 16),
+    ("calib.noise = 0.1", "job", "calib_noise", 0.1),
+    ("rpca.lambda = 0.2", "rpca", "lam", 0.2),
+    ("rpca.tol = 1e-5", "rpca", "tol", 1e-5),
+    ("rpca.max_iters = 50", "rpca", "max_iters", 50),
+    ("pg.lr = 0.1", "pg", "learning_rate", 0.1),
+    ("pg.beta = 0.5", "pg", "baseline_beta", 0.5),
+    ("pg.iterations = 2", "pg", "iterations", 2),
+    ("pg.window = 7", "pg", "window", 7),
+    ("pg.seed = 3", "pg", "seed", 3),
+    ("budget.fraction = 0.15", "job", "budget_fraction", 0.15),
+    ("mode = sequential", "job", "mode", "sequential"),
+]
+
+
 class TestJobConfig:
     def test_defaults(self):
         s = parse_job_config("")
@@ -107,8 +144,24 @@ class TestJobConfig:
         assert s.mode == "global"
 
     def test_every_documented_key_parses(self):
-        text = "\n".join(f"{k} = {v}" for k, v in CONFIG_DEFAULTS.items())
-        assert parse_job_config(text) == parse_job_config("")
+        # the README's config block names every key once, each at its default
+        text = readme_config_block()
+        keys = [line.partition("=")[0].strip() for line in text.strip().splitlines()]
+        assert sorted(keys) == sorted(KEYS)
+        assert parse_job_config(text) == JobConfig()
+
+    @pytest.mark.parametrize("line, section, name, expected", KEY_CASES)
+    def test_each_key_sets_its_field_only(self, line, section, name, expected):
+        got, stock = flat_fields(parse_job_config(line)), flat_fields(JobConfig())
+        assert {field for field in stock if got[field] != stock[field]} == {(section, name)}
+        assert got[section, name] == expected
+
+    def test_every_key_has_a_case(self):
+        assert sorted(case[0].partition(" =")[0] for case in KEY_CASES) == sorted(KEYS)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="^line 3: duplicate key 'budget.fraction'$"):
+            parse_job_config("budget.fraction = 0.15\nmode = global\nbudget.fraction = 0.5\n")
 
     def test_comments_and_blanks_ignored(self):
         s = parse_job_config("# heading\n\ncalib.n = 16  # trailing\n")
@@ -286,6 +339,15 @@ class TestDecompose:
         cfg.write_text("rpca.mu = 3\n")
         src = model_dir / "layer0.weight.capm"
         assert main(["decompose", str(src), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_repeated_config_key_exit_code(self, tmp_path, model_dir, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("budget.fraction = 0.15\nbudget.fraction = 0.5\n")
+        out = tmp_path / "z"
+        argv = ["compress", str(model_dir), "--config", str(cfg), "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        assert "line 2: duplicate key 'budget.fraction'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompress:

@@ -18,7 +18,7 @@ from lrsprune.calibration import (
     reconstruct,
 )
 from lrsprune.linalg import SvdFactorization
-from lrsprune.matio import parse_job_config
+from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     COMPONENT_CHOICES,
     MODES,
@@ -57,6 +57,13 @@ class TestJobValidation:
         job = quick_run[0]
         with pytest.raises(ValueError):
             CompressionJob(model=job.model, calib=job.calib, mode="parallel")
+
+    def test_defaults_are_the_stock_config(self, quick_run):
+        # the benchmark builds CompressionJob directly, so it keeps its own copy
+        job, stock = quick_run[0], JobConfig()
+        bare = CompressionJob(model=job.model, calib=job.calib)
+        assert (bare.budget_fraction, bare.mode) == (stock.budget_fraction, stock.mode)
+        assert (bare.rpca_config, bare.pg_config) == (stock.rpca, stock.pg)
 
     def test_calibration_dims_checked_up_front(self, quick_run):
         job = quick_run[0]
