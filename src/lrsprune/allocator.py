@@ -133,9 +133,11 @@ def project_to_budget(probs, costs, budget) -> np.ndarray:
     solves the linear piece at the current nu, which is fixed by the free
     set ``0 < s - nu c < 1`` and the upper set ``s - nu c >= 1``, and the
     iteration stops when a step lands on the piece it was computed from.
-    A step that leaves the bracket of the root, or a piece with an empty
-    free set, is replaced by a bisection step. There is no tolerance: the
-    result meets the budget up to the rounding of its arithmetic.
+    On a piece with an empty free set, where ``spend`` is flat, the step is
+    solved from the piece past the next breakpoint toward the root instead.
+    A step that leaves the bracket of the root is replaced by a bisection
+    step. There is no tolerance: the result meets the budget up to the
+    rounding of its arithmetic.
 
     The inputs are checked as a ``RetentionState`` is, then projected by the
     kernel that ``reinforce_step`` runs unchecked, whose feasibility check
@@ -174,8 +176,21 @@ def _project(s, c, c2, budget: float) -> np.ndarray:
             lo = nu
         else:
             hi = nu
-        slope = float(c2 @ free)
-        if slope > 0.0 and lo < (step := nu + gap / slope) < hi:
+        slope, start = float(c2 @ free), nu
+        if slope == 0.0:  # spend is flat up to the next breakpoint toward the root
+            if gap > 0.0:  # where the first upper candidates turn free
+                points = (s - 1.0) / c
+                start = float(points[upper].min())
+                free = upper & (points == start)
+                upper ^= free
+            else:  # where the first lower ones with s > 0 do
+                points = s / c
+                ahead = ~upper & (s > 0.0)
+                start = float(points[ahead].max())
+                free = ahead & (points == start)
+            key = free.tobytes() + upper.tobytes()  # the piece past that breakpoint
+            slope = float(c2 @ free)
+        if slope > 0.0 and lo < (step := start + gap / slope) < hi:
             nu, piece = step, key
         else:
             nu, piece = 0.5 * (lo + hi), None

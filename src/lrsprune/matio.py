@@ -106,16 +106,16 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         token = token.strip()
         parts = token.lower().split("x")
         if len(parts) != 2:
-            raise ConfigError(f"bad shape {token!r}, expected ROWSxCOLS")
+            raise ConfigError(f"model.shapes: bad shape {token!r}, expected ROWSxCOLS")
         try:
             m, n = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ConfigError(f"bad shape {token!r}: {exc}") from exc
+            raise ConfigError(f"model.shapes: bad shape {token!r}: {exc}") from exc
         if m < 1 or n < 1:
-            raise ConfigError(f"shape dimensions must be positive, got {token!r}")
+            raise ConfigError(f"model.shapes: dimensions must be positive, got {token!r}")
         shapes.append((m, n))
     if not shapes:
-        raise ConfigError("model.shapes must name at least one layer")
+        raise ConfigError("model.shapes: must name at least one layer")
     return shapes
 
 

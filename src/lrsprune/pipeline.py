@@ -18,6 +18,7 @@ four of its rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -237,7 +238,9 @@ def _select(job: CompressionJob, stage1, choose, components: str = "both"):
     in global mode, one group per layer in sequential mode. Each group has
     its own budget; one below the cheapest candidate of the chooser's
     family ``components`` keeps nothing, and is too small if the group has
-    any candidate of that family. Each group is scored with the layers of
+    any candidate of that family, and one that covers the family's total
+    cost keeps all of it. Neither calls the chooser, so the learner scores
+    no mask there. Each group is scored with the layers of
     earlier groups rebuilt from their final masks; the report's budget is
     the sum over groups.
 
@@ -255,16 +258,22 @@ def _select(job: CompressionJob, stage1, choose, components: str = "both"):
         evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
         costs, group_budget = evaluator.costs, _budget(job, group)
         budget += group_budget
-        eligible = costs[_eligible(evaluator, components)]
-        if eligible.size == 0 or group_budget < eligible.min():
-            too_small = too_small or eligible.size > 0
-            mask = np.zeros(costs.size, dtype=np.int8)
+        eligible = _eligible(evaluator, components)
+        family = costs[eligible]
+        mask = np.zeros(costs.size, dtype=np.int8)
+        if family.size == 0 or group_budget < family.min():
+            too_small = too_small or family.size > 0
+        elif group_budget >= family.sum():
+            mask[eligible] = 1
         else:
             mask = choose(evaluator, group_budget)
         for i, sl in evaluator.slices.items():
             masks[i] = mask[sl]
             weights[i] = reconstruct(pools[i], masks[i])
 
+    final_loss = _task_loss(weights, job.model.activation, job.calib)
+    if not math.isfinite(final_loss):  # no learning step may have scored it
+        raise ValueError(f"task loss must be finite, got {final_loss}")
     summaries = [
         LayerSummary(
             layer_id=i,
@@ -285,7 +294,7 @@ def _select(job: CompressionJob, stage1, choose, components: str = "both"):
         used_cost=sum(ls.cost for ls in summaries),
         dense_loss=dense_loss,
         rpca_loss=rpca_loss,
-        final_loss=_task_loss(weights, job.model.activation, job.calib),
+        final_loss=final_loss,
         rank_distribution=[ls.retained_rank for ls in summaries],
         history=history,
         budget_too_small=too_small,

@@ -11,23 +11,30 @@ multiplier Y, it alternates
 and stops once the relative feasibility residual
 ``||W - L - S||_F / ||W||_F`` drops to the configured tolerance.
 
-The SVT step computes only the triplets that can survive (Lin, Chen & Ma
-2010, section 4). The predicted survivor count ``k`` starts at INITIAL_RANK;
-with ``svp`` survivors it becomes ``svp + 1`` if ``svp < k``, else ``svp``
-plus RANK_STEP of the smaller dimension. A randomized range finder (Halko,
-Martinsson & Tropp 2011) with OVERSAMPLE extra columns, POWER_ITERS (one)
-QR-orthonormalized power iteration and a generator seeded in ``decompose``
-yields the top triplets. It is warm-started (ibid., section 4.5): the right
-block of the last attempt, all its columns rather than the shrunk survivors,
-replaces the leading columns of the Gaussian test block, both in the next
-attempt of a step and in the first attempt of the next ADMM iteration; the
-generator still draws a full block, so its stream does not depend on the
-start. Exactness rule: a step is accepted only when the first computed
-value at or below the threshold stays there when widened by the residual of
-its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE`` reaches half the
-smaller dimension the step takes the full SVD, so small layers always take
-the exact path. ``RpcaResult.factors`` holds the last step's shrunk
-factorization, whose product is ``l``.
+The first step needs no SVT call. With S = 0 and the dual start
+Y = W / d, d = max(||W||_2, max|W| / lambda), its input is exactly c W with
+c = 1 + 1/(d mu), so one SVD of W, which also gives ||W||_2, yields its
+triplets: W's, with the values scaled by c. W's right singular vectors are
+the start block of the second step.
+
+Every later SVT step computes only the triplets that can survive (Lin, Chen
+& Ma 2010, section 4). The predicted survivor count ``k`` starts at
+INITIAL_RANK, the guess the first step's survivor count ``svp`` is compared
+with; it becomes ``svp + 1`` if ``svp < k``, else ``svp`` plus RANK_STEP of
+the smaller dimension. A randomized range finder (Halko, Martinsson & Tropp
+2011) with OVERSAMPLE extra columns, POWER_ITERS (one) QR-orthonormalized
+power iteration and a generator seeded in ``decompose`` yields the top
+triplets, by Rayleigh-Ritz on the tall ``A^T Q``. It is warm-started (ibid.,
+section 4.5): the right block of the last attempt, all its columns rather than
+the shrunk survivors, replaces the leading columns of the Gaussian test
+block, both in the next attempt of a step and in the first attempt of the
+next ADMM iteration; the generator still draws a full block, so its stream
+does not depend on the start. Exactness rule: a step is accepted only when
+the first computed value at or below the threshold stays there when widened
+by the residual of its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE``
+reaches half the smaller dimension the step takes the full SVD, so small
+layers always take the exact path. ``RpcaResult.factors`` holds the last
+step's shrunk factorization, whose product is ``l``.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .linalg import (
     as_matrix,
     column_signs,
     frobenius_norm,
-    spectral_norm,
     svd,
     thin_svd,
 )
@@ -50,7 +56,7 @@ from .linalg import (
 RHO = 1.5  # penalty growth factor per ADMM iteration
 MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR times its start
 RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
-INITIAL_RANK = 10  # predicted SVT rank of the first iteration
+INITIAL_RANK = 10  # the guess the first step's survivor count is compared with
 RANK_STEP = 0.05  # rank growth, as a fraction of the smaller dimension
 OVERSAMPLE = 10  # range-finder columns beyond the predicted rank
 POWER_ITERS = 1  # range-finder power iterations
@@ -111,10 +117,15 @@ def svt_shrink(sigma, tau: float) -> np.ndarray:
     return np.maximum(np.asarray(sigma, dtype=np.float64) - tau, 0.0)
 
 
-def soft_threshold(x, tau: float) -> np.ndarray:
-    """sign(x) * max(|x| - tau, 0), entrywise."""
+def soft_threshold(x, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(x) * max(|x| - tau, 0), entrywise; written into ``out`` if given,
+    which must not share memory with ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = np.abs(x, out=out)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(x)
+    return out
 
 
 def _top_triplets(
@@ -133,8 +144,8 @@ def _top_triplets(
     for _ in range(POWER_ITERS):
         q = np.linalg.qr(a.T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
-    f = svd(q.T @ a)
-    return SvdFactorization(u=q @ f.u, sigma=f.sigma, v=f.v)
+    f = svd(a.T @ q)  # the tall transpose of q.T a, faster to factor: its sides swap
+    return SvdFactorization(u=q @ f.v, sigma=f.sigma, v=f.u)
 
 
 def svt(
@@ -155,10 +166,8 @@ def svt(
 
     The acceptance rule certifies the survivor set, not the kept values: it
     guarantees that no singular value above ``tau`` is missed, but the kept
-    triplets carry the range finder's error. On the first ADMM step of the
-    six planted 256x256 layers of model seeds 0 and 1, the kept singular
-    values lay up to 4.6e-4 from ``np.linalg.svd`` (1.8e-5 on the first layer
-    of seed 0), while the final ``L`` of such layers lies within 5e-9 of the
+    triplets carry the range finder's error. The final ``L`` of the nine
+    planted 256x256 layers of model seeds 0-2 lies within 5.4e-9 of the
     full-SVD inexact ALM's.
 
     Returns:
@@ -218,9 +227,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     w = as_matrix(w)
     config = config if config is not None else RpcaConfig()
     rows, cols = w.shape
-    scale = max(frobenius_norm(w), 1e-12)
-    w_top = spectral_norm(w)
-    if w_top == 0.0:  # all-zero or zero-size, where default_lambda is undefined
+    w_max = float(np.abs(w).max()) if w.size else 0.0
+    if w_max == 0.0:  # all-zero or zero-size, where default_lambda is undefined
         zero = np.zeros_like(w)
         return RpcaResult(
             l=zero,
@@ -237,29 +245,48 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         )
 
     lam = config.lam if config.lam is not None else default_lambda(rows, cols)
-    mu = 1.25 / w_top
+    scale = max(frobenius_norm(w), 1e-12)
+    top = svd(w)
+    mu = 1.25 / float(top.sigma[0])
     mu_cap = MU_CAP_FACTOR * mu
     # dual-feasible start for the multiplier
-    y = w / max(w_top, float(np.abs(w).max()) / lam)
-    s = np.zeros_like(w)
+    d = max(float(top.sigma[0]), w_max / lam)
+    y = w / d
+    # the first SVT input, w - 0 + y/mu, is c w: its step takes W's triplets
+    # scaled by c, and the next step starts from W's right singular vectors
+    sigma = (1.0 + 1.0 / (d * mu)) * top.sigma
+    svp = int(np.count_nonzero(sigma > 1.0 / mu))
+    factors = SvdFactorization(
+        u=np.ascontiguousarray(top.u[:, :svp]),
+        sigma=svt_shrink(sigma[:svp], 1.0 / mu),
+        v=np.ascontiguousarray(top.v[:, :svp]),
+    )
+    block, top = top.v, None  # W's U goes now, its V with the second step
 
     small = min(rows, cols)
     k = INITIAL_RANK
     rng = np.random.default_rng(0)
-    block = None  # right block of the last SVT step, the next one's start
+    s, gap, y_mu, a = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty_like(w)
     history: list[float] = []
     residual = float("inf")
     iterations = config.max_iters
     for it in range(1, config.max_iters + 1):
-        factors, block = svt(w - s + y / mu, 1.0 / mu, k, rng, block)
+        np.divide(y, mu, out=y_mu)
+        if it > 1:
+            np.subtract(w, s, out=a)
+            a += y_mu
+            factors, block = svt(a, 1.0 / mu, k, rng, block)
         svp = factors.rank
         k = svp + 1 if svp < k else min(svp + round(RANK_STEP * small), small)
         l = (factors.u * factors.sigma) @ factors.v.T
-        s = update_s(w, l, y, mu, lam)
-        gap = w - l - s
-        y = y + mu * gap
+        np.subtract(w, l, out=a)
+        a += y_mu
+        soft_threshold(a, lam / mu, out=s)
+        np.subtract(w, l, out=gap)
+        gap -= s
+        y += np.multiply(gap, mu, out=a)
         mu = min(RHO * mu, mu_cap)
-        residual = frobenius_norm(gap) / scale
+        residual = float(np.linalg.norm(gap)) / scale
         history.append(residual)
         if residual <= config.tol:
             iterations = it

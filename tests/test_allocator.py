@@ -71,6 +71,21 @@ def breakpoint_projection(s, c, budget):
     return np.clip(s - nu * c, 0.0, 1.0)
 
 
+def projection_passes(s, c, budget):
+    """(projection, passes) of the step kernel; each pass evaluates the spend
+    as ``c @ clipped``, which the costs count."""
+    passes = []
+
+    class Costs(np.ndarray):
+        def __matmul__(self, other):
+            passes.append(None)
+            return np.asarray(self) @ other
+
+    s, c = np.asarray(s, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    x = allocator._project(s, c.view(Costs), c * c, float(budget))
+    return np.asarray(x), len(passes)
+
+
 def stage2_projection_input(rng, n, triplets=1, triplet_cost=40.0):
     """Projection input shaped like a Stage 2 step: triplets costing m + n
     ahead of unit-cost sparse entries, probabilities scattered around and
@@ -429,6 +444,30 @@ class TestProjectionAgainstBreakpointSearch:
 
     def test_single_candidate(self):
         np.testing.assert_allclose(project_to_budget([2.5], [3.0], 1.5), [0.5], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("frac", [0.9, 0.6, 0.3])
+    def test_flat_start_steps_past_the_next_breakpoint(self, frac):
+        # a Stage 2 step from the box faces sends every probability out of
+        # (0, 1), at a few values: spend is flat from nu = 0 to the triplets'
+        # first breakpoint, and at 0.3 flat again before the entries' one
+        s = np.concatenate([np.full(5, 2.5), np.full(200, 3.0), np.full(195, -2.0)])
+        c = np.concatenate([np.full(5, 40.0), np.ones(395)])
+        budget = frac * float(c @ np.clip(s, 0.0, 1.0))
+        x, passes = projection_passes(s, c, budget)
+        assert passes <= 4
+        np.testing.assert_allclose(x, breakpoint_projection(s, c, budget), rtol=0, atol=1e-12)
+        assert x.tobytes() == project_to_budget(s, c, budget).tobytes()
+
+    def test_flat_piece_past_the_root_steps_back(self):
+        # at nu = 0 the first coordinate sits at 1 and the third above it; the
+        # Newton step past the first breakpoint leaves the bracket, so nu is
+        # bisected to 0.5, where spend is flat at 0 below the budget: the step
+        # back is solved from the piece before the breakpoint nu = 0.5
+        s, c = np.array([1.0, -0.25, 1.75, -0.5]), np.array([2.0, 1.0, 4.0, 1.0])
+        x, passes = projection_passes(s, c, 1.0)
+        np.testing.assert_allclose(x, [0.2, 0.0, 0.15, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x, breakpoint_projection(s, c, 1.0), rtol=0, atol=1e-15)
+        assert passes == 4
 
     def test_root_on_a_breakpoint(self):
         # nu = 0.25 sends the third coordinate exactly to 0

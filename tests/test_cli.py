@@ -194,7 +194,7 @@ class TestJobConfig:
             parse_job_config("pg.beta = 1")
         with pytest.raises(ConfigError):
             parse_job_config("rpca.lambda = -0.1")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^model.shapes: bad shape '8by6', expected ROWSxCOLS$"):
             parse_job_config("model.shapes = 8by6")
         with pytest.raises(ConfigError, match="^model.seed: "):
             parse_job_config("model.seed = -1")
@@ -271,6 +271,10 @@ class TestGen:
         out = tmp_path / "model"
         assert main(["gen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "rpca: tol must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text("model.shapes = 8x0\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "model.shapes: dimensions must be positive, got '8x0'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

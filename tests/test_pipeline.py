@@ -24,6 +24,7 @@ from lrsprune.pipeline import (
     MODES,
     CompressionJob,
     _MaskedLossEvaluator,
+    _budget,
     _stage1,
     ablate_threshold,
     default_job,
@@ -131,8 +132,9 @@ class TestRunReport:
             compressed[i].retained_rank for i in sorted(compressed)
         ]
 
-    def test_history_records_every_scored_sample(self, quick_run):
-        job, report, _ = quick_run
+    def test_history_records_every_scored_sample(self):
+        job = default_job(calib_n=32, budget_fraction=0.15)  # a budget that binds
+        report, _ = run(job)
         steps = job.pg_config.iterations * job.calib.size
         assert len(report.history) == steps
         assert all(np.isfinite(h) for h in report.history)
@@ -168,6 +170,29 @@ class TestFullBudget:
         assert baseline.used_cost == learned.used_cost
         for i in lc:
             np.testing.assert_array_equal(lc[i].mask, bc[i].mask)
+
+
+class TestCoveredGroup:
+    @pytest.mark.parametrize("components", COMPONENT_CHOICES)
+    def test_keeps_every_eligible_candidate_without_the_chooser(self, components):
+        # the stock job: a budget of 864 against a pool that costs 357
+        job = default_job(calib_n=32)
+        stage1 = _stage1(job)
+        pools = stage1[1]
+        assert sum(pool.costs.sum() for pool in pools.values()) <= _budget(job, list(pools))
+        calls = []
+        report, masks = pipeline._select(job, stage1, lambda *args: calls.append(args), components)
+        assert calls == [] and report.history == [] and report.budget_too_small is False
+        for i, pool in pools.items():
+            triplet = np.arange(pool.size) < pool.n_triplets
+            eligible = {"both": True, "low_rank_only": triplet, "sparse_only": ~triplet}
+            expected = np.broadcast_to(eligible[components], pool.size).astype(np.int8)
+            assert masks[i].tobytes() == expected.tobytes()
+
+    def test_learned_run_scores_no_mask(self, quick_run):
+        _, report, compressed = quick_run
+        assert report.history == []
+        assert all(np.all(layer.mask == 1) for layer in compressed.values())
 
 
 @st.composite

@@ -163,7 +163,9 @@ class TestConfigValidation:
 
 
 class TestDecompose:
-    def test_zero_matrix(self):
+    def test_zero_matrix(self, monkeypatch):
+        # returned before W's SVD, which an all-zero matrix does not need
+        monkeypatch.setattr(rpca, "svd", None)
         res = decompose(np.zeros((4, 6)))
         np.testing.assert_array_equal(res.l, np.zeros((4, 6)))
         np.testing.assert_array_equal(res.s, np.zeros((4, 6)))
@@ -253,13 +255,67 @@ class TestDecompose:
             assert len(res.residual_history) == res.iterations
 
 
+def first_step(w):
+    """decompose(w) stopped after its first ADMM step, whose residual it is
+    given as tol: (the step's factors, its SVT reference by np.linalg.svd as
+    (shrunk sigma, L), the dual start's denominator d, and sigma_1)."""
+    with pytest.raises(NonConvergenceError) as info:
+        decompose(w, RpcaConfig(max_iters=1))
+    assert info.value.iterations == 1
+    res = decompose(w, RpcaConfig(max_iters=1, tol=info.value.residual))
+    assert res.iterations == 1 and res.residual_history == [info.value.residual]
+    lam = default_lambda(*w.shape)
+    w_top = np.linalg.norm(w, 2)
+    mu = 1.25 / w_top
+    d = max(w_top, np.abs(w).max() / lam)
+    u, sig, vt = np.linalg.svd(w - np.zeros_like(w) + (w / d) / mu, full_matrices=False)
+    keep = sig > 1.0 / mu
+    shrunk = sig[keep] - 1.0 / mu
+    return res.factors, (shrunk, (u[:, keep] * shrunk) @ vt[keep]), d, w_top
+
+
+class TestFirstStep:
+    @pytest.mark.parametrize(
+        "make, branch",
+        [
+            (lambda rng: default_toy_model(np.random.default_rng(0)).layers[0], "max"),
+            (lambda rng: planted_model([(256, 256)] * 3, np.random.default_rng(0)).layers[0], "max"),
+            (lambda rng: np.ones((40, 30)) + 1e-3 * rng.standard_normal((40, 30)), "sigma"),
+        ],
+        ids=["toy0", "256x256", "ones-plus-noise"],
+    )
+    def test_equals_the_svt_of_its_input(self, make, branch, rng):
+        # w - s + y/mu with s = 0 and y = w/d, d = max(sigma_1, max|w|/lambda)
+        w = make(rng)
+        f, (sigma, l), d, w_top = first_step(w)
+        assert (d == w_top) == (branch == "sigma")
+        assert f.rank == sigma.size > 0
+        np.testing.assert_allclose(f.sigma, sigma, rtol=1e-12, atol=0)
+        assert frobenius_norm((f.u * f.sigma) @ f.v.T - l) <= 1e-12 * frobenius_norm(l)
+
+    def test_one_by_one(self):
+        for x in (3.0, -2.5):
+            res = decompose([[x]])
+            assert res.iterations == 1 and res.rank_l == 1
+            np.testing.assert_allclose(res.l + res.s, [[x]], rtol=1e-12, atol=0)
+            assert ((res.factors.u * res.factors.sigma) @ res.factors.v.T).tobytes() == res.l.tobytes()
+
+    def test_range_finder_calls_on_the_stack(self, range_finder_calls):
+        # the 3x256^2 stack of model seed 0: step 1 calls no range finder, and
+        # every later step one, plus one per doubling (four here, in the
+        # second and third steps), so 60 calls for 59 ADMM steps
+        layers = planted_model([(256, 256)] * 3, np.random.default_rng(0)).layers
+        steps = sum(decompose(w).iterations for w in layers)
+        assert len(range_finder_calls) <= steps + 1
+
+
 class TestTruncatedSvt:
     @pytest.mark.parametrize(
         "make, retries",
         [
-            (lambda rng: planted_spectrum_matrix(256, 256, 21, rng)[0], False),
+            (lambda rng: planted_spectrum_matrix(256, 256, 21, rng)[0], True),
             (lambda rng: planted_matrix(128, 96, 6, rng)[0], False),
-            (lambda rng: planted_spectrum_matrix(192, 256, 16, rng)[0], True),
+            (lambda rng: planted_spectrum_matrix(192, 256, 16, rng)[0], False),
         ],
         ids=["256x256-rank21", "128x96-rank6", "192x256-rank16"],
     )
@@ -267,10 +323,11 @@ class TestTruncatedSvt:
         w = make(rng)
         res = decompose(w)
         iterations, rank_l, l, s = full_svd_ialm(w)
-        assert len(range_finder_calls) >= res.iterations
+        # the first step takes W's SVD, every later one the range finder
+        assert len(range_finder_calls) >= res.iterations - 1
         if retries:
             # more range-finder calls than SVT steps: some step doubled its k
-            assert len(range_finder_calls) > res.iterations
+            assert len(range_finder_calls) > res.iterations - 1
         assert res.iterations == iterations
         assert res.rank_l == rank_l
         assert np.array_equal(res.s != 0.0, s != 0.0)
@@ -308,8 +365,9 @@ class TestTruncatedSvt:
         assert cold.random() == warm.random()
 
     def test_each_attempt_starts_from_the_last_block(self, rng, monkeypatch):
-        # across doublings and ADMM iterations alike, every range-finder call
-        # after the first starts from the right block the call before returned
+        # the first range-finder call starts from W's right singular vectors;
+        # across doublings and ADMM iterations alike, every later one starts
+        # from the right block the call before returned
         calls = []
         original = rpca._top_triplets
 
@@ -319,9 +377,10 @@ class TestTruncatedSvt:
             return f
 
         monkeypatch.setattr(rpca, "_top_triplets", spy)
-        res = decompose(planted_matrix(128, 96, 6, rng)[0])
-        assert len(calls) > res.iterations
-        assert calls[0][0] is None
+        w = planted_spectrum_matrix(256, 256, 21, rng)[0]
+        res = decompose(w)
+        assert len(calls) > res.iterations - 1  # a step doubled
+        assert calls[0][0].tobytes() == svd(w).v.tobytes()
         assert all(start is v for (start, _), (_, v) in zip(calls[1:], calls))
 
     def test_flat_spectrum_is_not_truncated_early(self, rng):
@@ -383,9 +442,10 @@ def linalg_svt(a, tau, k, rng, start=None):
 
 def reference_layers():
     """(id, layer): the toy layers of model seed 0, whose steps all take the
-    full SVD, and three planted layers whose first step doubles up to it (the
-    256x256 one is layer 1 of the 3x256^2 stack of model seed 0); the 256x96
-    layer takes it again in later steps, between range-finder steps."""
+    full SVD, and three planted layers whose second step starts the range
+    finder from W's right singular vectors (the 256x256 one is layer 1 of the
+    3x256^2 stack of model seed 0); the 256x96 layer takes the full SVD in
+    later steps, between range-finder steps."""
     toy = default_toy_model(np.random.default_rng(0)).layers
     return [
         *((f"toy{i}", w) for i, w in enumerate(toy)),
@@ -451,10 +511,13 @@ class TestFullSvdStep:
             assert got.tobytes() == want.tobytes() and got.shape == want.shape, part
             # and they are the last step's, as it returned them
             assert got.tobytes() == getattr(last[0], part).tobytes(), part
-        assert res.iterations == expected.iterations == len(steps)
+        # the first step takes W's SVD and calls no svt
+        assert res.iterations == expected.iterations == len(steps) + 1
         if name.startswith("toy"):
             assert all(step == ["full"] for step in steps)
         else:
-            # the first step doubles up to the full path, and the next one
-            # starts the range finder from the block that path returned
-            assert steps[0][0] == "rf" and steps[0][-1] == "full" and steps[1][0] == "rf"
+            # the second step starts the range finder from W's right vectors
+            assert steps[0][0] == "rf"
+        if name == "256x96":
+            # a full-SVD step hands its block to the range finder of the next
+            assert any(a[-1] == "full" and b[0] == "rf" for a, b in zip(steps, steps[1:]))
