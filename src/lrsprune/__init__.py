@@ -34,7 +34,6 @@ from .linalg import (
     SvdFactorization,
     as_matrix,
     frobenius_norm,
-    spectral_norm,
     svd,
 )
 from .matio import (
@@ -68,7 +67,6 @@ from .rpca import (
     soft_threshold,
     svt,
     svt_shrink,
-    update_s,
 )
 
 __version__ = "0.1.0"

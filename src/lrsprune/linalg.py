@@ -81,9 +81,3 @@ def column_signs(u: np.ndarray) -> np.ndarray:
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value; 0 for a zero-size or all-zero matrix."""
-    m = as_matrix(a)
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0

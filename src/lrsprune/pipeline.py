@@ -13,7 +13,9 @@ masks; the survivors are factorized only where the factors are returned.
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
 selection and the magnitude-threshold baselines all search inside them, in
 the same budget groups, so ``ablate_threshold`` computes it once for all
-four of its rows.
+four of its rows. A candidate family is a pool: the rows that keep only
+triplets or only sparse entries select, by the same rules, from pools that
+``build_pool`` makes of one part of each layer's split.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ from .calibration import (
     planted_model,
     reconstruct,
 )
+from .linalg import SvdFactorization
 from .matio import MODES, JobConfig
 from .pool import build_pool, param_count
 from .rpca import RpcaConfig, decompose
-
-COMPONENT_CHOICES = ("both", "low_rank_only", "sparse_only")
 
 
 @dataclass
@@ -213,36 +214,23 @@ def _learner(job: CompressionJob):
     return partial(_learn_masks, pg=job.pg_config, rng=np.random.default_rng(job.pg_config.seed))
 
 
-def _eligible(evaluator, components: str) -> np.ndarray:
-    """Positions of the group's candidates in the family ``components``."""
-    pools = [evaluator.pools[i] for i in evaluator.slices]
-    triplet = np.concatenate([np.arange(pool.size) < pool.n_triplets for pool in pools])
-    family = {"both": np.ones_like(triplet), "low_rank_only": triplet, "sparse_only": ~triplet}
-    return np.flatnonzero(family[components])
-
-
-def _magnitude_fill(evaluator, budget, components: str) -> np.ndarray:
-    """Threshold chooser: ``greedy_fill`` by descending magnitude over the
-    eligible candidate family, no learning."""
+def _magnitude_fill(evaluator, budget) -> np.ndarray:
+    """Threshold chooser: ``greedy_fill`` by descending magnitude, no learning."""
     mags = np.concatenate([evaluator.pools[i].magnitudes for i in evaluator.slices])
-    sub = _eligible(evaluator, components)
-    mask = np.zeros(mags.size, dtype=np.int8)
-    mask[sub] = greedy_fill(mags[sub], evaluator.costs[sub], budget)
-    return mask
+    return greedy_fill(mags, evaluator.costs, budget)
 
 
-def _select(job: CompressionJob, stage1, choose, components: str = "both"):
+def _select(job: CompressionJob, stage1, choose):
     """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> mask``.
 
     Layers are chosen in budget groups, in order: one group of every layer
     in global mode, one group per layer in sequential mode. Each group has
-    its own budget; one below the cheapest candidate of the chooser's
-    family ``components`` keeps nothing, and is too small if the group has
-    any candidate of that family, and one that covers the family's total
-    cost keeps all of it. Neither calls the chooser, so the learner scores
-    no mask there. Each group is scored with the layers of
-    earlier groups rebuilt from their final masks; the report's budget is
-    the sum over groups.
+    its own budget; one below the group's cheapest candidate keeps nothing,
+    and is too small if the group has any candidate, and one that covers
+    its pools' total cost keeps all of it. Neither calls the chooser, so
+    the learner scores no mask there. Each group is scored with the layers
+    of earlier groups rebuilt from their final masks; the report's budget
+    is the sum over groups.
 
     Returns:
         (CompressionReport, dict layer index -> mask)
@@ -258,13 +246,11 @@ def _select(job: CompressionJob, stage1, choose, components: str = "both"):
         evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
         costs, group_budget = evaluator.costs, _budget(job, group)
         budget += group_budget
-        eligible = _eligible(evaluator, components)
-        family = costs[eligible]
         mask = np.zeros(costs.size, dtype=np.int8)
-        if family.size == 0 or group_budget < family.min():
-            too_small = too_small or family.size > 0
-        elif group_budget >= family.sum():
-            mask[eligible] = 1
+        if costs.size == 0 or group_budget < costs.min():
+            too_small = too_small or costs.size > 0
+        elif group_budget >= costs.sum():
+            mask[:] = 1
         else:
             mask = choose(evaluator, group_budget)
         for i, sl in evaluator.slices.items():
@@ -303,10 +289,10 @@ def _select(job: CompressionJob, stage1, choose, components: str = "both"):
     return report, masks
 
 
-def _factorized(job: CompressionJob, choose, components: str = "both"):
+def _factorized(job: CompressionJob, choose):
     """Stage 1, then the selection of ``choose`` with every layer factorized."""
     stage1 = _stage1(job)
-    report, masks = _select(job, stage1, choose, components)
+    report, masks = _select(job, stage1, choose)
     return report, {i: factorize(pool, masks[i]) for i, pool in stage1[1].items()}
 
 
@@ -319,34 +305,40 @@ def run(job: CompressionJob):
     return _factorized(job, _learner(job))
 
 
-def heuristic_threshold_baseline(job: CompressionJob, components: str = "both"):
+def heuristic_threshold_baseline(job: CompressionJob):
     """Magnitude-ranked hard selection in the same budget groups, no learning.
 
     In each budget group of the learned selection, candidates are visited by
     descending magnitude (singular value for triplets, absolute value for
     sparse entries) by the same greedy fill as the learned selection's final
-    pass. ``components`` restricts eligibility to one candidate family:
-    "both", "low_rank_only" or "sparse_only".
+    pass.
     """
-    if components not in COMPONENT_CHOICES:
-        raise ValueError(f"components must be one of {COMPONENT_CHOICES}")
-    return _factorized(job, partial(_magnitude_fill, components=components), components)
+    return _factorized(job, _magnitude_fill)
+
+
+def _family_pools(results) -> dict[str, dict]:
+    """Pools of the family rows, each ``build_pool`` of every layer's split
+    with one part left out: the triplets only, and the sparse entries only."""
+    low_rank = {i: build_pool(i, r.factors, np.zeros_like(r.s)) for i, r in results.items()}
+    sparse = {}
+    for i, r in results.items():
+        f = r.factors
+        sparse[i] = build_pool(i, SvdFactorization(f.u[:, :0], f.sigma[:0], f.v[:, :0]), r.s)
+    return {"low_rank_only": low_rank, "sparse_only": sparse}
 
 
 def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:
     """The learned selection and the three threshold baselines from one
     Stage 1, all in the same budget groups.
 
-    Rows are ("learned", "threshold", "low_rank_only", "sparse_only"), each
-    report equal to its ``run`` or ``heuristic_threshold_baseline`` result.
+    Rows are ("learned", "threshold", "low_rank_only", "sparse_only"): the
+    reports of ``run`` and ``heuristic_threshold_baseline``, then the
+    threshold over the triplet-only and entry-only pools of the same Stage 1.
     """
-    stage1 = _stage1(job)
-    rows = [("learned", _select(job, stage1, _learner(job))[0])]
-    for components in COMPONENT_CHOICES:
-        variant = "threshold" if components == "both" else components
-        choose = partial(_magnitude_fill, components=components)
-        rows.append((variant, _select(job, stage1, choose, components)[0]))
-    return rows
+    results, pools, *losses = _stage1(job)
+    rows = [("learned", pools, _learner(job)), ("threshold", pools, _magnitude_fill)]
+    rows += [(name, family, _magnitude_fill) for name, family in _family_pools(results).items()]
+    return [(name, _select(job, (results, p, *losses), choose)[0]) for name, p, choose in rows]
 
 
 def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:

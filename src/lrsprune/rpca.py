@@ -203,11 +203,6 @@ def svt(
     return shrunk, f.v
 
 
-def update_s(w, l, y, mu: float, lam: float) -> np.ndarray:
-    """Sparse step: soft threshold lambda/mu applied to ``w - l + y/mu``."""
-    return soft_threshold(w - l + y / mu, lam / mu)
-
-
 def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     """Split ``w`` into a low-rank ``l`` plus an entrywise-sparse ``s``.
 

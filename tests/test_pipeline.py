@@ -20,11 +20,13 @@ from lrsprune.calibration import (
 from lrsprune.linalg import SvdFactorization
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
-    COMPONENT_CHOICES,
     MODES,
     CompressionJob,
     _MaskedLossEvaluator,
     _budget,
+    _family_pools,
+    _magnitude_fill,
+    _select,
     _stage1,
     ablate_threshold,
     default_job,
@@ -36,6 +38,18 @@ from lrsprune.pipeline import (
 from lrsprune.pool import build_pool
 from lrsprune.rpca import RpcaConfig, decompose
 from references import brute_force_best_mask, single_layer_job
+
+
+# the threshold rows of ``ablate_threshold``, "both" being the full pools
+FAMILIES = ("both", "low_rank_only", "sparse_only")
+
+
+def family_stage1(stage1, family):
+    """Stage 1 with the pools of the threshold row over ``family``."""
+    if family == "both":
+        return stage1
+    results, _, *losses = stage1
+    return (results, _family_pools(results)[family], *losses)
 
 
 @pytest.fixture(scope="module")
@@ -173,21 +187,18 @@ class TestFullBudget:
 
 
 class TestCoveredGroup:
-    @pytest.mark.parametrize("components", COMPONENT_CHOICES)
+    @pytest.mark.parametrize("components", FAMILIES)
     def test_keeps_every_eligible_candidate_without_the_chooser(self, components):
         # the stock job: a budget of 864 against a pool that costs 357
         job = default_job(calib_n=32)
-        stage1 = _stage1(job)
+        stage1 = family_stage1(_stage1(job), components)
         pools = stage1[1]
         assert sum(pool.costs.sum() for pool in pools.values()) <= _budget(job, list(pools))
         calls = []
-        report, masks = pipeline._select(job, stage1, lambda *args: calls.append(args), components)
+        report, masks = _select(job, stage1, lambda *args: calls.append(args))
         assert calls == [] and report.history == [] and report.budget_too_small is False
         for i, pool in pools.items():
-            triplet = np.arange(pool.size) < pool.n_triplets
-            eligible = {"both": True, "low_rank_only": triplet, "sparse_only": ~triplet}
-            expected = np.broadcast_to(eligible[components], pool.size).astype(np.int8)
-            assert masks[i].tobytes() == expected.tobytes()
+            assert masks[i].tobytes() == np.ones(pool.size, dtype=np.int8).tobytes()
 
     def test_learned_run_scores_no_mask(self, quick_run):
         _, report, compressed = quick_run
@@ -254,16 +265,15 @@ class TestBudgetTooSmall:
         # per-layer budgets 38/28/19 sit below the triplet costs 56/48/40;
         # sparse entries (cost 1) still fit them
         job = default_job(model_seed=0, budget_fraction=0.05, mode="sequential")
-        reports = {c: heuristic_threshold_baseline(job, c)[0] for c in COMPONENT_CHOICES}
-        low_rank = reports["low_rank_only"]
+        rows = dict(ablate_threshold(job))
+        low_rank = rows["low_rank_only"]
         assert [ls.rows + ls.cols for ls in low_rank.layers] == [56, 48, 40]
         assert low_rank.budget == 38 + 28 + 19
         assert low_rank.used_cost == 0
         assert low_rank.budget_too_small is True
-        assert reports["both"].budget_too_small is False
-        assert reports["sparse_only"].budget_too_small is False
-        rows = dict(ablate_threshold(job))
-        assert [rows[c].budget_too_small for c in ("low_rank_only", "sparse_only")] == [True, False]
+        assert rows["threshold"].budget_too_small is False
+        assert rows["sparse_only"].budget_too_small is False
+        assert rows["learned"].budget_too_small is False
 
 
 @st.composite
@@ -317,14 +327,24 @@ def reference_threshold_masks(job, components):
 
 class TestThresholdBaselineReference:
     @pytest.mark.parametrize("fraction", [0.1, 0.15])
-    @pytest.mark.parametrize("components", ["both", "low_rank_only", "sparse_only"])
+    @pytest.mark.parametrize("components", FAMILIES)
     def test_masks_match_per_candidate_greedy(self, fraction, components):
+        # the row over a family's pools keeps what the reference keeps of that
+        # family, and the reference keeps nothing of the other family
         job = default_job(budget_fraction=fraction)
-        report, compressed = heuristic_threshold_baseline(job, components)
+        stage1 = _stage1(job)
+        report, masks = _select(job, family_stage1(stage1, components), _magnitude_fill)
         expected, pool_cost = reference_threshold_masks(job, components)
-        assert sorted(compressed) == sorted(expected)
+        assert sorted(masks) == sorted(expected)
         for i, mask in expected.items():
-            np.testing.assert_array_equal(compressed[i].mask, mask)
+            t = stage1[1][i].n_triplets
+            part, rest = {
+                "both": (mask, mask[:0]),
+                "low_rank_only": (mask[:t], mask[t:]),
+                "sparse_only": (mask[t:], mask[:t]),
+            }[components]
+            assert masks[i].tobytes() == part.tobytes()
+            assert not rest.any()
         assert pool_cost > report.budget >= report.used_cost  # the budget binds
 
 
@@ -510,17 +530,11 @@ class TestNearOracle:
 
 class TestHeuristicBaseline:
     def test_component_restrictions(self):
-        job = default_job(calib_n=32)
-        l_only, _ = heuristic_threshold_baseline(job, components="low_rank_only")
+        rows = dict(ablate_threshold(default_job(calib_n=32)))
+        l_only, s_only = rows["low_rank_only"], rows["sparse_only"]
         assert all(ls.sparse_nnz == 0 for ls in l_only.layers)
-        s_only, _ = heuristic_threshold_baseline(job, components="sparse_only")
         assert all(ls.retained_rank == 0 for ls in s_only.layers)
         assert s_only.used_cost <= s_only.budget
-
-    def test_rejects_unknown_components(self):
-        job = default_job(calib_n=32)
-        with pytest.raises(ValueError):
-            heuristic_threshold_baseline(job, components="l")
 
     def test_deterministic(self):
         job = default_job(calib_n=32)
@@ -535,13 +549,10 @@ class TestAblateThreshold:
     def test_rows_equal_separate_runs(self, mode):
         job = default_job(model_seed=1, pg_seed=1, budget_fraction=0.15, mode=mode)
         learned, _ = run(job)
-        expected = [("learned", learned)] + [
-            (variant, heuristic_threshold_baseline(job, components=components)[0])
-            for variant, components in (
-                ("threshold", "both"),
-                ("low_rank_only", "low_rank_only"),
-                ("sparse_only", "sparse_only"),
-            )
+        stage1 = _stage1(job)
+        expected = [("learned", learned), ("threshold", heuristic_threshold_baseline(job)[0])] + [
+            (family, _select(job, family_stage1(stage1, family), _magnitude_fill)[0])
+            for family in ("low_rank_only", "sparse_only")
         ]
         rows = ablate_threshold(job)
         assert [v for v, _ in rows] == [v for v, _ in expected]
@@ -553,6 +564,34 @@ class TestAblateThreshold:
             )
             assert got.history == want.history
             assert got.rank_distribution == want.rank_distribution
+            assert got.layers == want.layers
+            assert got.budget_too_small == want.budget_too_small
+
+
+class TestFamilyPools:
+    @pytest.mark.parametrize("model_seed", [0, 1, 2])
+    def test_each_family_pool_is_the_full_pool_cut_to_that_family(self, model_seed):
+        results, pools, *_ = _stage1(default_job(model_seed=model_seed))
+        families = _family_pools(results)
+        assert list(families) == ["low_rank_only", "sparse_only"]
+        for i, pool in pools.items():
+            t = pool.n_triplets
+            low_rank, sparse = families["low_rank_only"][i], families["sparse_only"][i]
+            assert (low_rank.n_triplets, low_rank.size) == (t, t)
+            assert (sparse.n_triplets, sparse.size) == (0, pool.size - t)
+            for family, cut in ((low_rank, slice(0, t)), (sparse, slice(t, pool.size))):
+                assert (family.layer_id, family.rows, family.cols) == (i, pool.rows, pool.cols)
+                for name in ("costs", "magnitudes"):
+                    got, want = getattr(family, name), getattr(pool, name)[cut]
+                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+            for name in ("entry_values", "entry_flat"):
+                got, want = getattr(sparse, name), getattr(pool, name)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+                assert getattr(low_rank, name).size == 0, name
+            for name in ("triplet_us", "triplet_vt"):
+                got, want = getattr(low_rank, name), getattr(pool, name)
+                assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+                assert getattr(sparse, name).size == 0, name
 
 
 class TestSweepLambda:

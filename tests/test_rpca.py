@@ -25,7 +25,6 @@ from lrsprune.rpca import (
     soft_threshold,
     svt,
     svt_shrink,
-    update_s,
 )
 from references import default_toy_model, planted_matrix
 
@@ -109,6 +108,11 @@ def update_l(w, s, y, mu):
     """Low-rank step on the full-SVD path: SVT with threshold 1/mu of ``w - s + y/mu``."""
     f, _ = svt(w - s + y / mu, 1.0 / mu, min(w.shape), None)
     return (f.u * f.sigma) @ f.v.T
+
+
+def update_s(w, l, y, mu, lam):
+    """Sparse step: soft threshold lambda/mu applied to ``w - l + y/mu``."""
+    return soft_threshold(w - l + y / mu, lam / mu)
 
 
 class TestUpdateSteps:
