@@ -1,7 +1,7 @@
 """Toy multilayer models, calibration data, and masked-reconstruction losses.
 
 A model is a stack of dense weight matrices applied left to right,
-``h <- act(h @ W)``, with the activation between layers only. The task loss
+``h <- relu(h @ W)``, with the rectifier between layers only. The task loss
 is the squared output error summed over coordinates and averaged over the
 calibration records.
 """
@@ -16,8 +16,6 @@ import numpy as np
 from .linalg import as_matrix
 from .pool import CandidatePool
 
-ACTIVATIONS = ("relu", "identity")
-
 # planted layers: 5% outliers at 10x the mean low-rank magnitude, per-layer
 # geometric spectrum decays (steep / flat / middling)
 TOY_OUTLIER_FRAC = 0.05
@@ -25,23 +23,22 @@ TOY_OUTLIER_SCALE = 10.0
 TOY_SPECTRUM_DECAYS = (0.85, 0.95, 0.9)
 
 
-def _forward(weights, activation: str, acts: list) -> np.ndarray:
-    """Output of the stack run from layer ``len(acts) - 1`` on its input
-    ``acts[-1]``; the input of each later layer is appended to ``acts``."""
-    h, last = acts[-1], len(weights) - 1
-    for k in range(len(acts) - 1, last + 1):
-        h = h @ weights[k]
+def _forward(weights, h: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Output of the stack ``weights`` on its input ``h``; each later layer's
+    input is appended to ``acts`` if given, else dropped once it is read."""
+    last = len(weights) - 1
+    for k, w in enumerate(weights):
+        h = h @ w
         if k < last:
-            if activation == "relu":
-                np.maximum(h, 0.0, out=h)
-            acts.append(h)
+            np.maximum(h, 0.0, out=h)
+            if acts is not None:
+                acts.append(h)
     return h
 
 
 @dataclass
 class ToyModel:
     layers: list
-    activation: str = "relu"
 
     def __post_init__(self):
         if not self.layers:
@@ -53,8 +50,6 @@ class ToyModel:
                     f"layer {i} output dim {self.layers[i].shape[1]} does not feed "
                     f"layer {i + 1} input dim {self.layers[i + 1].shape[0]}"
                 )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def input_dim(self) -> int:
@@ -69,7 +64,7 @@ class ToyModel:
         return int(sum(w.size for w in self.layers))
 
     def forward(self, x) -> np.ndarray:
-        return _forward(self.layers, self.activation, [np.asarray(x, dtype=np.float64)])
+        return _forward(self.layers, np.asarray(x, dtype=np.float64))
 
 
 @dataclass
@@ -114,15 +109,15 @@ def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
     return float(np.add.reduce(out, axis=None) / out.shape[0])
 
 
-def _task_loss(weights, activation: str, calib: CalibrationSet) -> float:
+def _task_loss(weights, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error of a weight stack; overflow does not warn."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _output_loss(_forward(weights, activation, [calib.inputs]), calib)
+        return _output_loss(_forward(weights, calib.inputs), calib)
 
 
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error."""
-    return _task_loss(model.layers, model.activation, calib)
+    return _task_loss(model.layers, calib)
 
 
 def _split(pool: CandidatePool, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +189,7 @@ def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> flo
         if not 0 <= idx < len(weights):
             raise ValueError(f"layer index {idx} out of range")
         weights[idx] = reconstruct(pool, masks[idx])
-    return _task_loss(weights, model.activation, calib)
+    return _task_loss(weights, calib)
 
 
 def _plant_outliers(l0, rng: np.random.Generator, outlier_frac, outlier_scale):

@@ -13,8 +13,10 @@ Writing then reading reproduces the payload bit for bit.
 Job configuration files are flat ``key = value`` lines; ``#`` starts a
 comment, blank lines are skipped, unknown and repeated keys are rejected.
 Each key is one row of ``KEYS``; a key left out keeps its field's default
-in ``JobConfig()``, the stock job. Each value is range-checked once, by the
-object that consumes it.
+in ``JobConfig()``, the stock job. The config objects built from the
+``rpca.*`` and ``pg.*`` values range-check them, and the parser the others;
+``CompressionJob`` and ``gen_calibration`` check ``budget.fraction``, ``mode``,
+``calib.n`` and ``calib.noise`` again for jobs built without a file.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ masks; the survivors are factorized only where the factors are returned.
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
 selection and the magnitude-threshold baselines all search inside them, in
 the same budget groups, so ``ablate_threshold`` computes it once for all
-four of its rows. A candidate family is a pool: the rows that keep only
-triplets or only sparse entries select, by the same rules, from pools that
-``build_pool`` makes of one part of each layer's split.
+four of its rows. Stage 2 reads only pools: each layer's split is dropped
+once its pool is built, and the rows that keep only triplets or only sparse
+entries select, by the same rules, from the full pools cut to one part.
 """
 
 from __future__ import annotations
@@ -117,13 +117,17 @@ def _budget(job: CompressionJob, layers) -> int:
 
 
 def _stage1(job: CompressionJob):
-    """Decomposition and candidate pool of every layer, each keyed by layer
-    index, with the dense and the unpruned-decomposition task losses."""
-    results = {i: decompose(w, job.rpca_config) for i, w in enumerate(job.model.layers)}
-    pools = {i: build_pool(i, res.factors, res.s) for i, res in results.items()}
+    """The report's Stage 1 columns and the candidate pool of every layer, keyed
+    by layer index, with the dense and the unpruned-decomposition task losses."""
+    columns, pools = {}, {}
+    for i, w in enumerate(job.model.layers):
+        res = decompose(w, job.rpca_config)
+        pool = pools[i] = build_pool(i, res.factors, res.s)
+        columns[i] = dict(rank_l=res.rank_l, nnz_s=pool.entry_flat.size, sparsity_s=res.sparsity_s)
+        del res  # the split goes before the next layer is split, and before the losses
     ones = {i: np.ones(pool.size, dtype=np.int8) for i, pool in pools.items()}
     dense_loss = forward_loss(job.model, job.calib)
-    return results, pools, dense_loss, loss_with_masks(job.model, pools, ones, job.calib)
+    return columns, pools, dense_loss, loss_with_masks(job.model, pools, ones, job.calib)
 
 
 class _MaskedLossEvaluator:
@@ -145,7 +149,6 @@ class _MaskedLossEvaluator:
     """
 
     def __init__(self, job, weights, pools, group, history):
-        self.activation = job.model.activation
         self.calib = job.calib
         self.pools = pools
         self.weights = list(weights)
@@ -194,7 +197,8 @@ class _MaskedLossEvaluator:
             self._under = under = self._buffer[at]
             self._buffer[at] = under + self._pos_values[kept]
             del self._acts[first + 1 :]
-            self._loss = _output_loss(_forward(self.weights, self.activation, self._acts), self.calib)
+            out = _forward(self.weights[len(self._acts) - 1 :], self._acts[-1], self._acts)
+            self._loss = _output_loss(out, self.calib)
         self.history.append(self._loss)
         return self._loss
 
@@ -235,7 +239,7 @@ def _select(job: CompressionJob, stage1, choose):
     Returns:
         (CompressionReport, dict layer index -> mask)
     """
-    results, pools, dense_loss, rpca_loss = stage1
+    columns, pools, dense_loss, rpca_loss = stage1
     layers = list(pools)
     groups = [layers] if job.mode == "global" else [[i] for i in layers]
     weights = list(job.model.layers)
@@ -257,7 +261,7 @@ def _select(job: CompressionJob, stage1, choose):
             masks[i] = mask[sl]
             weights[i] = reconstruct(pools[i], masks[i])
 
-    final_loss = _task_loss(weights, job.model.activation, job.calib)
+    final_loss = _task_loss(weights, job.calib)
     if not math.isfinite(final_loss):  # no learning step may have scored it
         raise ValueError(f"task loss must be finite, got {final_loss}")
     summaries = [
@@ -265,9 +269,7 @@ def _select(job: CompressionJob, stage1, choose):
             layer_id=i,
             rows=pool.rows,
             cols=pool.cols,
-            rank_l=results[i].rank_l,
-            nnz_s=int(np.count_nonzero(results[i].s)),
-            sparsity_s=results[i].sparsity_s,
+            **columns[i],
             retained_rank=int(np.count_nonzero(masks[i][: pool.n_triplets])),
             sparse_nnz=int(np.count_nonzero(masks[i][pool.n_triplets :])),
             cost=param_count(pool, masks[i]),
@@ -316,14 +318,17 @@ def heuristic_threshold_baseline(job: CompressionJob):
     return _factorized(job, _magnitude_fill)
 
 
-def _family_pools(results) -> dict[str, dict]:
-    """Pools of the family rows, each ``build_pool`` of every layer's split
-    with one part left out: the triplets only, and the sparse entries only."""
-    low_rank = {i: build_pool(i, r.factors, np.zeros_like(r.s)) for i, r in results.items()}
-    sparse = {}
-    for i, r in results.items():
-        f = r.factors
-        sparse[i] = build_pool(i, SvdFactorization(f.u[:, :0], f.sigma[:0], f.v[:, :0]), r.s)
+def _family_pools(pools) -> dict[str, dict]:
+    """Pools of the family rows, each full pool cut to one part: its
+    triplets only, and its sparse entries only."""
+    low_rank, sparse = {}, {}
+    for i, p in pools.items():
+        t, f = p.n_triplets, p.svd
+        no_entries = {"entry_values": p.entry_values[:0], "entry_flat": p.entry_flat[:0]}
+        low_rank[i] = replace(p, costs=p.costs[:t], magnitudes=p.magnitudes[:t], **no_entries)
+        no_triplets = {"triplet_us": p.triplet_us[:, :0], "triplet_vt": p.triplet_vt[:0]}
+        no_triplets["svd"] = SvdFactorization(f.u[:, :0], f.sigma[:0], f.v[:, :0])
+        sparse[i] = replace(p, costs=p.costs[t:], magnitudes=p.magnitudes[t:], **no_triplets)
     return {"low_rank_only": low_rank, "sparse_only": sparse}
 
 
@@ -335,28 +340,28 @@ def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]
     reports of ``run`` and ``heuristic_threshold_baseline``, then the
     threshold over the triplet-only and entry-only pools of the same Stage 1.
     """
-    results, pools, *losses = _stage1(job)
+    columns, pools, *losses = _stage1(job)
     rows = [("learned", pools, _learner(job)), ("threshold", pools, _magnitude_fill)]
-    rows += [(name, family, _magnitude_fill) for name, family in _family_pools(results).items()]
-    return [(name, _select(job, (results, p, *losses), choose)[0]) for name, p, choose in rows]
+    rows += [(name, family, _magnitude_fill) for name, family in _family_pools(pools).items()]
+    return [(name, _select(job, (columns, p, *losses), choose)[0]) for name, p, choose in rows]
 
 
 def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:
-    """Full compression run per sparsity weight; None selects the default.
+    """Stage 1 and the learned selection per sparsity weight; None selects the default.
 
     Every weight is checked by ``RpcaConfig`` before the first run. Each
     row aggregates the Stage 1 diagnostics over the layers and
-    carries the post-selection task loss.
+    carries the post-selection task loss; no layer is factorized.
     """
-    configs = [replace(job.rpca_config, lam=lam) for lam in lambdas]
-    if not configs:
+    jobs = [replace(job, rpca_config=replace(job.rpca_config, lam=lam)) for lam in lambdas]
+    if not jobs:
         raise ValueError("need at least one sparsity weight")
     rows = []
-    for cfg in configs:
-        report, _ = run(replace(job, rpca_config=cfg))
+    for weighted in jobs:
+        report, _ = _select(weighted, _stage1(weighted), _learner(weighted))
         rows.append(
             SweepRow(
-                lam=cfg.lam,
+                lam=weighted.rpca_config.lam,
                 mean_rank_l=float(np.mean([ls.rank_l for ls in report.layers])),
                 mean_sparsity_s=float(np.mean([ls.sparsity_s for ls in report.layers])),
                 total_nnz_s=int(sum(ls.nnz_s for ls in report.layers)),

@@ -96,7 +96,6 @@ class RpcaConfig:
 class RpcaResult:
     l: np.ndarray
     s: np.ndarray
-    y: np.ndarray  # final dual multiplier
     iterations: int
     residual: float  # final relative feasibility residual
     residual_history: list[float]
@@ -228,7 +227,6 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         return RpcaResult(
             l=zero,
             s=zero.copy(),
-            y=zero.copy(),
             iterations=0,
             residual=0.0,
             residual_history=[],
@@ -294,7 +292,6 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     return RpcaResult(
         l=l,
         s=s,
-        y=y,
         iterations=iterations,
         residual=residual,
         residual_history=history,

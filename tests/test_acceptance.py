@@ -156,16 +156,16 @@ def threshold_medians(fraction: float) -> dict:
     # Stage 1 depends on the model alone, so one decomposition serves the
     # 10 pg seeds and the three threshold rows
     base = default_job(budget_fraction=fraction)
-    results, pools, *losses = stage1 = _stage1(base)
+    columns, pools, *losses = stage1 = _stage1(base)
     learned = []
     for seed in range(10):
         job = default_job(pg_seed=seed, budget_fraction=fraction)
         learned.append(_select(job, stage1, _learner(job))[0].final_loss)
     # the threshold rows hold no sampled state, so one evaluation per row is
     # already the 10-seed median; the family rows select from family pools
-    rows = {"threshold": pools, **_family_pools(results)}
+    rows = {"threshold": pools, **_family_pools(pools)}
     medians = {
-        row: _select(base, (results, row_pools, *losses), _magnitude_fill)[0].final_loss
+        row: _select(base, (columns, row_pools, *losses), _magnitude_fill)[0].final_loss
         for row, row_pools in rows.items()
     }
     return {

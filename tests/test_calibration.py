@@ -36,11 +36,9 @@ class TestToyModel:
         with pytest.raises(ValueError):
             ToyModel(layers=[np.zeros((4, 3)), np.zeros((4, 2))])
 
-    def test_needs_layers_and_known_activation(self):
+    def test_needs_layers(self):
         with pytest.raises(ValueError):
             ToyModel(layers=[])
-        with pytest.raises(ValueError):
-            ToyModel(layers=[np.zeros((2, 2))], activation="tanh")
 
     def test_properties(self):
         model = ToyModel(layers=[np.zeros((4, 3)), np.zeros((3, 2))])
@@ -48,16 +46,10 @@ class TestToyModel:
         assert model.output_dim == 2
         assert model.dense_params == 12 + 6
 
-    def test_forward_identity_activation(self, rng):
-        w1, w2 = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
-        model = ToyModel(layers=[w1, w2], activation="identity")
-        x = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(model.forward(x), x @ w1 @ w2, atol=1e-12)
-
     def test_forward_rectifier_clips_between_layers(self):
         w1 = np.array([[1.0, -1.0]])
         w2 = np.array([[1.0], [1.0]])
-        model = ToyModel(layers=[w1, w2], activation="relu")
+        model = ToyModel(layers=[w1, w2])
         # pre-activation (2, -2) clips to (2, 0); the output layer is not clipped
         np.testing.assert_allclose(model.forward([[2.0]]), [[2.0]])
         np.testing.assert_allclose(model.forward([[-2.0]]), [[2.0]])
@@ -104,7 +96,7 @@ class TestCalibration:
             gen_calibration(model, 4, sigma, rng)
 
     def test_forward_loss_hand_value(self):
-        model = ToyModel(layers=[np.eye(2)], activation="identity")
+        model = ToyModel(layers=[np.eye(2)])
         calib = CalibrationSet(
             inputs=np.array([[1.0, 0.0], [0.0, 2.0]]),
             targets=np.array([[0.0, 0.0], [0.0, 0.0]]),
@@ -255,10 +247,7 @@ class TestLossWithMasks:
             pools[i] = build_pool(i, res.factors, res.s)
         masks = {i: np.ones(pools[i].size, dtype=np.int8) for i in pools}
         got = loss_with_masks(model, pools, masks, calib)
-        rebuilt = ToyModel(
-            layers=[reconstruct(pools[i], masks[i]) for i in range(3)],
-            activation=model.activation,
-        )
+        rebuilt = ToyModel(layers=[reconstruct(pools[i], masks[i]) for i in range(3)])
         assert got == pytest.approx(forward_loss(rebuilt, calib), rel=1e-12)
 
     def test_zero_masks_leave_pure_target_energy(self, rng):
@@ -386,7 +375,6 @@ class TestPlantedModel:
         model = default_toy_model(rng)
         assert [w.shape for w in model.layers] == list(TOY_SHAPES)
         assert model.dense_params == 32 * 24 + 24 * 24 + 24 * 16
-        assert model.activation == "relu"
 
     def test_rank_rule_floor(self, rng):
         # min(m, n) // 12 with a floor of one planted direction; without
@@ -412,7 +400,7 @@ def test_top_direction_beats_smaller_alone(rng):
     # single linear layer: keeping the largest direction can never lose to
     # keeping a smaller one alone
     w, l0, _ = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.0)
-    model = ToyModel(layers=[l0], activation="identity")
+    model = ToyModel(layers=[l0])
     calib = gen_calibration(model, 256, 0.0, rng)
     pool = build_pool(0, svd(l0), np.zeros_like(l0))
     assert pool.n_triplets == 2

@@ -511,7 +511,7 @@ class TestAblateThresholdCommand:
         assert variants == ["learned", "threshold", "low_rank_only", "sparse_only"]
 
     def test_stage1_once_per_layer(self, tmp_path, monkeypatch):
-        calls = {"decompose": 0, "forward_loss": 0, "factorize": 0}
+        calls = {"decompose": 0, "build_pool": 0, "forward_loss": 0, "factorize": 0}
 
         def counting(name):
             real = getattr(pipeline, name)
@@ -528,8 +528,9 @@ class TestAblateThresholdCommand:
         cfg.write_text("budget.fraction = 0.15\nmode = sequential\n")
         argv = ["ablate-threshold", "--config", str(cfg), "--quiet"]
         assert main(argv) == 0
-        # one Stage 1 with its dense loss; the rows keep reports, not factors
-        assert calls == {"decompose": 3, "forward_loss": 1, "factorize": 0}
+        # one Stage 1 with its dense loss, whose pools the family rows cut;
+        # the rows keep reports, not factors
+        assert calls == {"decompose": 3, "build_pool": 3, "forward_loss": 1, "factorize": 0}
 
     def test_full_budget_learned_equals_threshold(self, tmp_path):
         cfg = tmp_path / "full.cfg"

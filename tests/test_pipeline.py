@@ -1,5 +1,6 @@
 """End-to-end orchestration: budgets, reports, modes, baselines, sweeps."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from lrsprune.calibration import (
     ToyModel,
     _task_loss,
     gen_calibration,
+    loss_with_masks,
     planted_model,
     reconstruct,
 )
@@ -48,8 +50,8 @@ def family_stage1(stage1, family):
     """Stage 1 with the pools of the threshold row over ``family``."""
     if family == "both":
         return stage1
-    results, _, *losses = stage1
-    return (results, _family_pools(results)[family], *losses)
+    columns, pools, *losses = stage1
+    return (columns, _family_pools(pools)[family], *losses)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +117,6 @@ class TestJobFromConfig:
         # the CLI builds its jobs from configs, the API from default_job
         got, want = job_from_config(parse_job_config(text)), default_job(**kwargs)
         assert [w.tobytes() for w in got.model.layers] == [w.tobytes() for w in want.model.layers]
-        assert got.model.activation == want.model.activation
         assert got.calib.inputs.tobytes() == want.calib.inputs.tobytes()
         assert got.calib.targets.tobytes() == want.calib.targets.tobytes()
         assert (got.rpca_config, got.pg_config) == (want.rpca_config, want.pg_config)
@@ -408,7 +409,7 @@ def walk_in_place(job, pools, rng):
             for k in group:
                 full[k] = reconstruct(pools[k], masks[k])
                 assert evaluator.weights[k].tobytes() == full[k].tobytes(), (group, step)
-            assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
+            assert loss == _task_loss(full, job.calib), (group, step)
             assert evaluator._buffer[-1:].tobytes() == bytes(8), (group, step)  # +0.0
             assert all(a.tobytes() == b.tobytes() for a, b in zip(weights, passed))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(job.model.layers, given))
@@ -437,7 +438,7 @@ class TestIncrementalEvaluator:
                 full = list(weights)
                 for i in group:
                     full[i] = reconstruct(pools[i], masks[i])
-                assert loss == _task_loss(full, job.model.activation, job.calib), (group, step)
+                assert loss == _task_loss(full, job.calib), (group, step)
                 assert len(history) == step + 1 and history[-1] == loss
                 # the inputs of the layers up to the first changed one are reused
                 first = picked[change][0] if picked[change] else len(weights) - 1
@@ -460,16 +461,17 @@ class TestIncrementalEvaluator:
         # the weights are compared byte for byte, since a loss may not see a
         # change that feeds only dead units
         job = default_job(calib_n=32, mode=mode)
-        results, pools = _stage1(job)[:2]
+        pools = _stage1(job)[1]
         rng = np.random.default_rng(3)
         walk_in_place(job, pools, rng)
         # a triplet-only, an entry-only and an all-zero layer, whose triplet
         # positions, if any, all point at the spare buffer slot
-        none = SvdFactorization(u=np.zeros((24, 0)), sigma=np.zeros(0), v=np.zeros((24, 0)))
+        families = _family_pools(pools)
+        none = SvdFactorization(u=np.zeros((24, 0)), sigma=np.zeros(0), v=np.zeros((16, 0)))
         pools = {
-            0: build_pool(0, results[0].factors, np.zeros((32, 24))),
-            1: build_pool(1, none, results[1].s),
-            2: build_pool(2, replace(none, v=np.zeros((16, 0))), np.zeros((24, 16))),
+            0: families["low_rank_only"][0],
+            1: families["sparse_only"][1],
+            2: build_pool(2, none, np.zeros((24, 16))),
         }
         assert pools[0].size == pools[0].n_triplets > 0
         assert pools[1].size > pools[1].n_triplets == 0 and pools[2].size == 0
@@ -513,8 +515,6 @@ class TestNonFiniteLoss:
 
 class TestNearOracle:
     def test_small_pool_close_to_brute_force(self):
-        from lrsprune.calibration import loss_with_masks
-
         job = single_layer_job(0, budget_fraction=4 / 384)
         report, _ = run(job)
         res = decompose(job.model.layers[0], job.rpca_config)
@@ -567,12 +567,41 @@ class TestAblateThreshold:
             assert got.layers == want.layers
             assert got.budget_too_small == want.budget_too_small
 
+    def test_every_row_reports_the_stage1_columns_of_the_split(self):
+        job = default_job(calib_n=32, budget_fraction=0.15)
+        splits = [decompose(w, job.rpca_config) for w in job.model.layers]
+        want = [(r.rank_l, int(np.count_nonzero(r.s)), r.sparsity_s) for r in splits]
+        for variant, report in ablate_threshold(job):
+            got = [(ls.rank_l, ls.nnz_s, ls.sparsity_s) for ls in report.layers]
+            assert got == want, variant
+
+
+class TestStage1:
+    def test_each_split_is_dropped_once_its_pool_is_built(self, monkeypatch):
+        splits = []  # weak references to the l and s of every split so far
+
+        def recording(w, config):
+            assert all(ref() is None for ref in splits)  # before the next layer is split
+            res = decompose(w, config)
+            splits.extend((weakref.ref(res.l), weakref.ref(res.s)))
+            return res
+
+        def checking(*args):
+            assert all(ref() is None for ref in splits)  # and before the losses
+            return loss_with_masks(*args)
+
+        monkeypatch.setattr(pipeline, "decompose", recording)
+        monkeypatch.setattr(pipeline, "loss_with_masks", checking)
+        stage1 = _stage1(default_job(calib_n=8))
+        assert len(splits) == 2 * len(stage1[1])
+        assert all(ref() is None for ref in splits)
+
 
 class TestFamilyPools:
     @pytest.mark.parametrize("model_seed", [0, 1, 2])
     def test_each_family_pool_is_the_full_pool_cut_to_that_family(self, model_seed):
-        results, pools, *_ = _stage1(default_job(model_seed=model_seed))
-        families = _family_pools(results)
+        pools = _stage1(default_job(model_seed=model_seed))[1]
+        families = _family_pools(pools)
         assert list(families) == ["low_rank_only", "sparse_only"]
         for i, pool in pools.items():
             t = pool.n_triplets
@@ -595,9 +624,13 @@ class TestFamilyPools:
 
 
 class TestSweepLambda:
-    def test_default_weight_single_row_matches_run(self):
+    def test_default_weight_single_row_matches_run(self, monkeypatch):
         job = default_job(calib_n=32)
+        factorized = []
+        monkeypatch.setattr(pipeline, "factorize", lambda *args: factorized.append(args))
         rows = sweep_lambda(job, [None])
+        assert factorized == []  # the rows keep reports, not factors
+        monkeypatch.undo()
         report, _ = run(job)
         assert len(rows) == 1
         assert rows[0].lam is None

@@ -173,7 +173,6 @@ class TestDecompose:
         res = decompose(np.zeros((4, 6)))
         np.testing.assert_array_equal(res.l, np.zeros((4, 6)))
         np.testing.assert_array_equal(res.s, np.zeros((4, 6)))
-        np.testing.assert_array_equal(res.y, np.zeros((4, 6)))
         assert res.iterations == 0
         assert res.residual == 0.0
         assert res.residual_history == []
@@ -209,8 +208,6 @@ class TestDecompose:
         assert frobenius_norm(w - res.l - res.s) / frobenius_norm(w) <= cfg.tol
         assert len(res.residual_history) == res.iterations
         assert res.residual_history[-1] == res.residual
-        assert res.y.shape == w.shape
-        assert np.all(np.isfinite(res.y))
 
     def test_scale_covariance(self, rng):
         w, _, _ = planted_matrix(24, 18, 2, rng)
@@ -415,7 +412,7 @@ class TestTruncatedSvt:
     def test_repeat_calls_byte_identical(self, rng):
         w, _, _ = planted_spectrum_matrix(256, 256, 21, rng)
         first, second = decompose(w), decompose(w)
-        for part in ("l", "s", "y"):
+        for part in ("l", "s"):
             assert getattr(first, part).tobytes() == getattr(second, part).tobytes()
 
 
@@ -507,7 +504,7 @@ class TestFullSvdStep:
             rpca, "thin_svd", lambda a: steps[-1].append("full") or original_full(a)
         )
         res = decompose(w)
-        for part in ("l", "s", "y"):
+        for part in ("l", "s"):
             assert getattr(res, part).tobytes() == getattr(expected, part).tobytes(), part
         assert res.residual_history == expected.residual_history
         for part in ("u", "sigma", "v"):
