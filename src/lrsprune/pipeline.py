@@ -260,6 +260,7 @@ def _select(job: CompressionJob, stage1, choose):
         for i, sl in evaluator.slices.items():
             masks[i] = mask[sl]
             weights[i] = reconstruct(pools[i], masks[i])
+        del evaluator  # its weight buffer and cached layer inputs, before the next group
 
     final_loss = _task_loss(weights, job.calib)
     if not math.isfinite(final_loss):  # no learning step may have scored it

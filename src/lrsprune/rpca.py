@@ -13,9 +13,12 @@ and stops once the relative feasibility residual
 
 The first step needs no SVT call. With S = 0 and the dual start
 Y = W / d, d = max(||W||_2, max|W| / lambda), its input is exactly c W with
-c = 1 + 1/(d mu), so one SVD of W, which also gives ||W||_2, yields its
-triplets: W's, with the values scaled by c. W's right singular vectors are
-the start block of the second step.
+c = 1 + 1/(d mu), so W's spectrum, which also gives ||W||_2, yields its
+triplets: W's, with the values scaled by c. The spectrum comes from one
+symmetric eigendecomposition of the smaller Gram matrix, W^T W, or W W^T
+when rows < cols; the vectors of W's other side are formed for the
+survivors only. W's leading right singular vectors, as many as the second
+step's first range-finder attempt reads, are that step's start block.
 
 Every later SVT step computes only the triplets that can survive (Lin, Chen
 & Ma 2010, section 4). The predicted survivor count ``k`` starts at
@@ -24,10 +27,11 @@ with; it becomes ``svp + 1`` if ``svp < k``, else ``svp`` plus RANK_STEP of
 the smaller dimension. A randomized range finder (Halko, Martinsson & Tropp
 2011) with OVERSAMPLE extra columns, POWER_ITERS (one) QR-orthonormalized
 power iteration and a generator seeded in ``decompose`` yields the top
-triplets, by Rayleigh-Ritz on the tall ``A^T Q``. It is warm-started (ibid.,
-section 4.5): the right block of the last attempt, all its columns rather than
-the shrunk survivors, replaces the leading columns of the Gaussian test
-block, both in the next attempt of a step and in the first attempt of the
+triplets, by Rayleigh-Ritz from the eigendecomposition of the small
+``B^T B``, ``B = A^T Q``. It is warm-started (ibid., section 4.5): the
+right block of the last attempt, all its columns rather than the shrunk
+survivors, replaces the leading columns of the Gaussian test block, both
+in the next attempt of a step and in the first attempt of the
 next ADMM iteration; the generator still draws a full block, so its stream
 does not depend on the start. Exactness rule: a step is accepted only when
 the first computed value at or below the threshold stays there when widened
@@ -45,11 +49,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SvdError,
     SvdFactorization,
     as_matrix,
     column_signs,
     frobenius_norm,
-    svd,
     thin_svd,
 )
 
@@ -127,13 +131,57 @@ def soft_threshold(x, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of ``m``, descending, and the matching eigenvectors of
+    ``m.T @ m``, which are ``m``'s right singular vectors.
+
+    A value is ``sqrt(max(lambda, 0))``, so one below ``sqrt(eps) sigma_1``
+    carries the eigensolver's absolute error.
+
+    Raises:
+        SvdError: if the eigensolver does not converge.
+    """
+    try:
+        lam, x = np.linalg.eigh(m.T @ m)
+    except np.linalg.LinAlgError as exc:
+        raise SvdError(f"eigh of the Gram matrix of shape {m.shape} did not converge: {exc}") from exc
+    return np.sqrt(np.maximum(lam[::-1], 0.0)), x[:, ::-1]
+
+
+def _unit_columns(mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``mx`` scaled to unit norm, and their norms.
+
+    For ``mx = m @ x`` with ``x`` eigenvectors of ``m.T @ m``, these are the
+    singular vectors on ``m``'s other side and their values. Division keeps
+    them orthonormal to working accuracy only while the norm exceeds
+    ``sqrt(eps)`` times the largest. A column at or below that, a zero one
+    included, is replaced by the matching column of a QR of the columns above
+    it followed by the ones below: finite, of unit norm and orthogonal to the
+    resolved ones, so a residual computed from it never reads 0 by accident.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", mx, mx))
+    live = norms > np.sqrt(np.finfo(np.float64).eps) * norms.max()
+    if live.all():
+        return mx / norms, norms
+    out = np.empty_like(mx)
+    out[:, live] = mx[:, live] / norms[live]
+    q, r = np.linalg.qr(np.concatenate([out[:, live], mx[:, ~live]], axis=1))
+    n = int(np.count_nonzero(live))
+    out[:, ~live] = q[:, n:] * np.where(np.diag(r)[n:] < 0.0, -1.0, 1.0)
+    return out, norms
+
+
 def _top_triplets(
     a: np.ndarray, k: int, rng: np.random.Generator, start: np.ndarray | None = None
 ) -> SvdFactorization:
     """Leading ``k`` singular triplets of ``a`` from a randomized range finder.
 
     The leading columns of ``start``, if given, replace the first columns of
-    the Gaussian test block, which still draws ``(cols, k)`` numbers.
+    the Gaussian test block, which still draws ``(cols, k)`` numbers. The
+    Rayleigh-Ritz step factors ``q.T @ a = x diag(sigma) v.T`` from the
+    eigenvectors ``x`` of the small ``b.T @ b``, ``b = a.T @ q``: ``v`` is ``b @ x``
+    with unit columns, ``sigma`` their norms, and ``u = q @ x``, sorted by
+    descending value and signed as the eigensolver returns ``x``.
     """
     block = rng.standard_normal((a.shape[1], k))
     if start is not None:
@@ -143,8 +191,17 @@ def _top_triplets(
     for _ in range(POWER_ITERS):
         q = np.linalg.qr(a.T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
-    f = svd(a.T @ q)  # the tall transpose of q.T a, faster to factor: its sides swap
-    return SvdFactorization(u=q @ f.v, sigma=f.sigma, v=f.u)
+    b = a.T @ q
+    x = _gram_eigh(b)[1]
+    v, sigma = _unit_columns(b @ x)
+    order = np.argsort(-sigma, kind="stable")
+    return SvdFactorization(u=q @ x[:, order], sigma=sigma[order], v=v[:, order])
+
+
+def _predicted_rank(svp: int, k: int, small: int) -> int:
+    """The next SVT step's survivor guess, after a step kept ``svp`` against the
+    guess ``k``, for a matrix whose smaller dimension is ``small``."""
+    return svp + 1 if svp < k else min(svp + round(RANK_STEP * small), small)
 
 
 def svt(
@@ -158,10 +215,11 @@ def svt(
     attempt starting from the right block of the one before, until the first
     computed value at or below ``tau`` stays there when widened by its
     residual; otherwise they come from the full SVD, which needs no ``rng``.
-    That path fixes ``linalg.svd``'s sign convention on the survivors only, so
-    its factors equal ``linalg.svd(a)`` cut to them, byte for byte, and it
-    returns every right singular vector unsigned, as ``np.linalg.svd`` gives
-    them; a start column's sign does not change the range finder's basis.
+    Either path fixes ``linalg.svd``'s sign convention on the survivors only,
+    so the full path's factors equal ``linalg.svd(a)`` cut to them, byte for
+    byte, and returns every right singular vector it computed unsigned, as
+    ``np.linalg.svd`` or the range finder gives them; a start column's sign
+    does not change the range finder's basis.
 
     The acceptance rule certifies the survivor set, not the kept values: it
     guarantees that no singular value above ``tau`` is missed, but the kept
@@ -183,21 +241,15 @@ def svt(
                 break
         k *= 2
         start = f.v
-    else:  # svd's signs, fixed on the survivors only
+    else:
         u, sigma, vh = thin_svd(a)
-        svp = int(np.count_nonzero(sigma > tau))
-        signs = column_signs(u[:, :svp])
-        shrunk = SvdFactorization(
-            u=u[:, :svp] * signs,
-            sigma=svt_shrink(sigma[:svp], tau),
-            v=np.ascontiguousarray(vh[:svp].T * signs),
-        )
-        return shrunk, vh.T
+        f = SvdFactorization(u=u, sigma=sigma, v=vh.T)
     svp = int(np.count_nonzero(f.sigma > tau))
+    signs = column_signs(f.u[:, :svp])  # svd's signs, fixed on the survivors only
     shrunk = SvdFactorization(
-        u=np.ascontiguousarray(f.u[:, :svp]),
+        u=np.ascontiguousarray(f.u[:, :svp] * signs),
         sigma=svt_shrink(f.sigma[:svp], tau),
-        v=np.ascontiguousarray(f.v[:, :svp]),
+        v=np.ascontiguousarray(f.v[:, :svp] * signs),
     )
     return shrunk, f.v
 
@@ -239,25 +291,37 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
 
     lam = config.lam if config.lam is not None else default_lambda(rows, cols)
     scale = max(frobenius_norm(w), 1e-12)
-    top = svd(w)
-    mu = 1.25 / float(top.sigma[0])
+    small = min(rows, cols)
+    # W's spectrum from its smaller Gram matrix: x holds W's right singular
+    # vectors if rows >= cols, else its left ones
+    tall = rows >= cols
+    sigma, x = _gram_eigh(w if tall else w.T)
+    mu = 1.25 / float(sigma[0])
     mu_cap = MU_CAP_FACTOR * mu
     # dual-feasible start for the multiplier
-    d = max(float(top.sigma[0]), w_max / lam)
+    d = max(float(sigma[0]), w_max / lam)
     y = w / d
     # the first SVT input, w - 0 + y/mu, is c w: its step takes W's triplets
-    # scaled by c, and the next step starts from W's right singular vectors
-    sigma = (1.0 + 1.0 / (d * mu)) * top.sigma
+    # scaled by c, and the next step starts from W's leading right singular
+    # vectors, as many as its first range-finder attempt reads
+    sigma *= 1.0 + 1.0 / (d * mu)
     svp = int(np.count_nonzero(sigma > 1.0 / mu))
+    k = _predicted_rank(svp, INITIAL_RANK, small)
+    width = min(k + OVERSAMPLE, small)
+    if tall:
+        v, block = x[:, :svp], x[:, :width]
+        u = _unit_columns(w @ v)[0]
+    else:
+        u, block = x[:, :svp], _unit_columns(w.T @ x[:, :width])[0]
+        v = block[:, :svp]
+    signs = column_signs(u)  # svd's signs, on the survivors
     factors = SvdFactorization(
-        u=np.ascontiguousarray(top.u[:, :svp]),
+        u=np.ascontiguousarray(u * signs),
         sigma=svt_shrink(sigma[:svp], 1.0 / mu),
-        v=np.ascontiguousarray(top.v[:, :svp]),
+        v=np.ascontiguousarray(v * signs),
     )
-    block, top = top.v, None  # W's U goes now, its V with the second step
+    del x, u, v  # the second step reads only the block
 
-    small = min(rows, cols)
-    k = INITIAL_RANK
     rng = np.random.default_rng(0)
     s, gap, y_mu, a = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty_like(w)
     history: list[float] = []
@@ -269,8 +333,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             np.subtract(w, s, out=a)
             a += y_mu
             factors, block = svt(a, 1.0 / mu, k, rng, block)
-        svp = factors.rank
-        k = svp + 1 if svp < k else min(svp + round(RANK_STEP * small), small)
+            k = _predicted_rank(factors.rank, k, small)
         l = (factors.u * factors.sigma) @ factors.v.T
         np.subtract(w, l, out=a)
         a += y_mu

@@ -597,6 +597,28 @@ class TestStage1:
         assert all(ref() is None for ref in splits)
 
 
+class TestSelect:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_evaluator_is_dropped_once_its_group_is_chosen(self, mode, monkeypatch):
+        evaluators = []  # weak references to every group's evaluator so far
+
+        class Recording(_MaskedLossEvaluator):
+            def __init__(self, *args):
+                assert all(ref() is None for ref in evaluators)  # before the next group's
+                super().__init__(*args)
+                evaluators.append(weakref.ref(self))
+
+        def checking(weights, calib):
+            assert all(ref() is None for ref in evaluators)  # and before the final loss
+            return _task_loss(weights, calib)
+
+        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
+        monkeypatch.setattr(pipeline, "_task_loss", checking)
+        job = default_job(calib_n=8, budget_fraction=0.15, mode=mode)
+        report, _ = _select(job, _stage1(job), _magnitude_fill)
+        assert len(evaluators) == (1 if mode == "global" else len(report.layers))
+
+
 class TestFamilyPools:
     @pytest.mark.parametrize("model_seed", [0, 1, 2])
     def test_each_family_pool_is_the_full_pool_cut_to_that_family(self, model_seed):

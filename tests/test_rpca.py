@@ -13,7 +13,14 @@ from lrsprune.calibration import (
     planted_model,
     planted_spectrum_matrix,
 )
-from lrsprune.linalg import SvdError, SvdFactorization, as_matrix, frobenius_norm, svd
+from lrsprune.linalg import (
+    SvdError,
+    SvdFactorization,
+    as_matrix,
+    column_signs,
+    frobenius_norm,
+    svd,
+)
 from lrsprune.rpca import (
     MU_CAP_FACTOR,
     RANK_CUTOFF,
@@ -168,8 +175,8 @@ class TestConfigValidation:
 
 class TestDecompose:
     def test_zero_matrix(self, monkeypatch):
-        # returned before W's SVD, which an all-zero matrix does not need
-        monkeypatch.setattr(rpca, "svd", None)
+        # returned before W's spectrum, which an all-zero matrix does not need
+        monkeypatch.setattr(rpca, "_gram_eigh", None)
         res = decompose(np.zeros((4, 6)))
         np.testing.assert_array_equal(res.l, np.zeros((4, 6)))
         np.testing.assert_array_equal(res.s, np.zeros((4, 6)))
@@ -281,9 +288,11 @@ class TestFirstStep:
         [
             (lambda rng: default_toy_model(np.random.default_rng(0)).layers[0], "max"),
             (lambda rng: planted_model([(256, 256)] * 3, np.random.default_rng(0)).layers[0], "max"),
+            (lambda rng: planted_model([(96, 256)], np.random.default_rng(0)).layers[0], "max"),
+            (lambda rng: planted_model([(256, 96)], np.random.default_rng(0)).layers[0], "max"),
             (lambda rng: np.ones((40, 30)) + 1e-3 * rng.standard_normal((40, 30)), "sigma"),
         ],
-        ids=["toy0", "256x256", "ones-plus-noise"],
+        ids=["toy0", "256x256", "96x256", "256x96", "ones-plus-noise"],
     )
     def test_equals_the_svt_of_its_input(self, make, branch, rng):
         # w - s + y/mu with s = 0 and y = w/d, d = max(sigma_1, max|w|/lambda)
@@ -366,23 +375,75 @@ class TestTruncatedSvt:
         assert cold.random() == warm.random()
 
     def test_each_attempt_starts_from_the_last_block(self, rng, monkeypatch):
-        # the first range-finder call starts from W's right singular vectors;
-        # across doublings and ADMM iterations alike, every later one starts
-        # from the right block the call before returned
-        calls = []
-        original = rpca._top_triplets
+        # the first range-finder call starts from the first step's own right
+        # singular vectors, as many as it reads; across doublings and ADMM
+        # iterations alike, every later one starts from the right block the
+        # call before returned
+        calls, spectra = [], []
+        original, original_eigh = rpca._top_triplets, rpca._gram_eigh
 
         def spy(a, k, rng, start=None):
             f = original(a, k, rng, start)
-            calls.append((start, f.v))
+            calls.append((k, start, f.v))
             return f
 
+        def recording(m):
+            spectra.append(original_eigh(m))
+            return spectra[-1]
+
         monkeypatch.setattr(rpca, "_top_triplets", spy)
+        monkeypatch.setattr(rpca, "_gram_eigh", recording)
         w = planted_spectrum_matrix(256, 256, 21, rng)[0]
         res = decompose(w)
         assert len(calls) > res.iterations - 1  # a step doubled
-        assert calls[0][0].tobytes() == svd(w).v.tobytes()
-        assert all(start is v for (start, _), (_, v) in zip(calls[1:], calls))
+        k, start, _ = calls[0]
+        v = spectra[0][1]  # the first step's eigenvectors of w.T @ w: W's right vectors
+        assert start.shape == (256, k)
+        assert start.tobytes() == v[:, :k].tobytes()
+        # its leading columns span the leading right subspace of np.linalg.svd(w):
+        # the sine of the largest principal angle is the residual of the projection
+        vt = np.linalg.svd(w)[2][:21]
+        assert np.linalg.norm(start[:, :21] - vt.T @ (vt @ start[:, :21]), 2) <= 1e-10
+        assert all(start is v for (_, start, _), (_, _, v) in zip(calls[1:], calls))
+
+    @pytest.mark.parametrize("k", [30, 40, 45])
+    def test_ritz_values_match_linalg_svd(self, k, rng):
+        # 45 columns exceed the rank, 40: five Ritz values round to zero
+        a, _ = gapped_matrix(rng)
+        f = rpca._top_triplets(a, k, np.random.default_rng(1))
+        want = np.linalg.svd(a, compute_uv=False)[:k]
+        np.testing.assert_allclose(f.sigma, want, rtol=0, atol=1e-10 * want[0])
+        # u = q x is orthonormal to rounding; v = b x / sigma to about eps sigma_1 / sigma
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.v.T @ f.v, np.eye(k), rtol=0, atol=1e-10)
+
+    def test_exactly_rank_deficient_block(self, rng, range_finder_calls):
+        # rank 3 against 14 range-finder columns: eleven Ritz values round to
+        # zero, with unit right vectors orthogonal to the resolved ones, which
+        # lie in a's null space; the first attempt is certified
+        u, _ = np.linalg.qr(rng.standard_normal((256, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((256, 3)))
+        a = (u * [5.0, 3.0, 2.0]) @ v.T
+        f, block = svt(a, 0.5, 4, np.random.default_rng(1))
+        assert range_finder_calls == [14]
+        assert f.rank == 3
+        np.testing.assert_allclose(f.sigma, [4.5, 2.5, 1.5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, full_svt(a, 0.5), rtol=0, atol=1e-12)
+        # dividing b @ x by its norms alone gives 3e-13 and 6e-14 here
+        assert np.all(np.isfinite(block))
+        np.testing.assert_allclose(block.T @ block, np.eye(14), rtol=0, atol=1e-14)
+        assert np.linalg.norm(a @ block[:, 3:], 2) <= 1e-14
+
+    def test_zero_columns_come_out_unit(self):
+        # a zero column has no direction of its own: it must not stay zero,
+        # or its residual a @ v - 0 u would read 0 whatever a is
+        mx = np.zeros((6, 3))
+        mx[:, 0] = [3.0, 0.0, 4.0, 0.0, 0.0, 0.0]
+        mx[:, 2] = 1e-20
+        out, norms = rpca._unit_columns(mx)
+        np.testing.assert_array_equal(norms[:2], [5.0, 0.0])
+        np.testing.assert_allclose(out[:, 0], mx[:, 0] / 5.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.T @ out, np.eye(3), rtol=0, atol=1e-15)
 
     def test_flat_spectrum_is_not_truncated_early(self, rng):
         # no gap: the range finder's values near tau are unresolved, so the
@@ -419,7 +480,8 @@ class TestTruncatedSvt:
 def linalg_svt(a, tau, k, rng, start=None):
     """``svt`` with every full-SVD step taken by ``linalg.svd``: every column
     signed, then cut to the survivors, and the signed right vectors returned
-    as the start block. The range-finder path is ``svt``'s own."""
+    as the start block. The range-finder path is ``svt``'s own, its survivors
+    signed as ``svd`` signs them."""
     a = as_matrix(a)
     while 2 * (k + rpca.OVERSAMPLE) < min(a.shape):
         f = rpca._top_triplets(a, k + rpca.OVERSAMPLE, rng, start)
@@ -433,10 +495,11 @@ def linalg_svt(a, tau, k, rng, start=None):
     else:
         f = svd(a)
     svp = int(np.count_nonzero(f.sigma > tau))
+    signs = column_signs(f.u[:, :svp])  # all +1 after svd
     shrunk = SvdFactorization(
-        u=np.ascontiguousarray(f.u[:, :svp]),
+        u=np.ascontiguousarray(f.u[:, :svp] * signs),
         sigma=svt_shrink(f.sigma[:svp], tau),
-        v=np.ascontiguousarray(f.v[:, :svp]),
+        v=np.ascontiguousarray(f.v[:, :svp] * signs),
     )
     return shrunk, f.v
 
@@ -481,6 +544,14 @@ class TestFullSvdStep:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(SvdError, match="did not converge"):
             svt(rng.standard_normal((8, 6)), 0.5, 6, None)
+
+    def test_eigensolver_failure_raises_svd_error(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(SvdError, match="did not converge"):
+            decompose(rng.standard_normal((8, 6)))
 
     @pytest.mark.parametrize("name, w", [pytest.param(*c, id=c[0]) for c in reference_layers()])
     def test_decompose_equals_the_linalg_svd_reference(self, name, w, monkeypatch):
