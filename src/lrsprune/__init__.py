@@ -29,13 +29,6 @@ from .calibration import (
     planted_spectrum_matrix,
     reconstruct,
 )
-from .linalg import (
-    SvdError,
-    SvdFactorization,
-    as_matrix,
-    frobenius_norm,
-    svd,
-)
 from .matio import (
     ConfigError,
     JobConfig,
@@ -62,6 +55,9 @@ from .rpca import (
     NonConvergenceError,
     RpcaConfig,
     RpcaResult,
+    SvdError,
+    SvdFactorization,
+    as_matrix,
     decompose,
     default_lambda,
     soft_threshold,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
-from .pool import CandidatePool
+from .pool import CandidatePool, _split
+from .rpca import as_matrix
 
 # planted layers: 5% outliers at 10x the mean low-rank magnitude, per-layer
 # geometric spectrum decays (steep / flat / middling)
@@ -120,21 +120,12 @@ def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
     return _task_loss(model.layers, calib)
 
 
-def _split(pool: CandidatePool, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Kept-triplet and kept-entry flags of a mask over the pool."""
-    mask = np.asarray(mask)
-    if mask.shape != (pool.size,):
-        raise ValueError(f"mask length {mask.shape} does not match pool size {pool.size}")
-    t = pool.n_triplets
-    return mask[:t] != 0, mask[t:] != 0
-
-
 def reconstruct(pool: CandidatePool, mask) -> np.ndarray:
     """Dense weight rebuilt from the retained candidates: the product of the
     kept singular triplets, with the kept sparse entries added at their
     positions. Stage 2's group rebuild computes the same values in place."""
     keep_t, keep_e = _split(pool, mask)
-    w = pool.triplet_us[:, keep_t] @ pool.triplet_vt[keep_t]
+    w = (pool.u[:, keep_t] * pool.sigma[keep_t]) @ pool.vt[keep_t]
     w.reshape(-1)[pool.entry_flat[keep_e]] += pool.entry_values[keep_e]
     return w
 
@@ -162,9 +153,9 @@ class CompressedLayer:
 def factorize(pool: CandidatePool, mask) -> CompressedLayer:
     """Split the retained triplets into balanced factors via sqrt(sigma)."""
     keep_t, keep_e = _split(pool, mask)
-    root = np.sqrt(pool.svd.sigma[keep_t])
-    u_prime = np.ascontiguousarray(pool.svd.u[:, keep_t] * root)
-    v_prime = np.ascontiguousarray(pool.svd.v[:, keep_t] * root)
+    root = np.sqrt(pool.sigma[keep_t])
+    u_prime = np.ascontiguousarray(pool.u[:, keep_t] * root)
+    v_prime = np.ascontiguousarray(pool.vt[keep_t].T * root)
     s_masked = np.zeros(pool.rows * pool.cols)
     s_masked[pool.entry_flat[keep_e]] = pool.entry_values[keep_e]
     return CompressedLayer(

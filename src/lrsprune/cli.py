@@ -23,7 +23,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .calibration import CalibrationSet, ToyModel
-from .linalg import SvdError
 from .matio import (
     ConfigError,
     JobConfig,
@@ -34,7 +33,7 @@ from .matio import (
     write_matrix,
 )
 from .pipeline import ablate_threshold, job_from_config, run, sweep_lambda
-from .rpca import NonConvergenceError, decompose
+from .rpca import NonConvergenceError, SvdError, decompose
 
 
 def _fmt(x: float) -> str:

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import PolicyGradientConfig
-from .linalg import as_matrix
-from .rpca import RpcaConfig
+from .rpca import RpcaConfig, as_matrix
 
 MAGIC = b"CAPM"
 VERSION = 1

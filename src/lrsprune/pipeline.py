@@ -47,7 +47,6 @@ from .calibration import (
     planted_model,
     reconstruct,
 )
-from .linalg import SvdFactorization
 from .matio import MODES, JobConfig
 from .pool import build_pool, param_count
 from .rpca import RpcaConfig, decompose
@@ -159,11 +158,11 @@ class _MaskedLossEvaluator:
         at = np.cumsum([0] + [pools[i].rows * pools[i].cols for i in group])
         spare = int(at[-1])
         self._buffer = np.zeros(spare + 1)
-        self._layers, offsets, values = [], [], []  # (index, mask slice, triplet count, pool)
+        self._layers, offsets, values = [], [], []  # (index, mask slice, t, U sigma, V^T)
         for k, i in enumerate(group):
             pool, sl = pools[i], self.slices[i]
             self.weights[i] = self._buffer[at[k] : at[k + 1]].reshape(pool.rows, pool.cols)
-            self._layers.append((i, sl, pool.n_triplets, pool))
+            self._layers.append((i, sl, pool.n_triplets, pool.u * pool.sigma, pool.vt))
             offsets += [np.full(pool.n_triplets, spare), at[k] + pool.entry_flat]
             values += [np.zeros(pool.n_triplets), pool.entry_values]
         self._pos_at, self._pos_values = np.concatenate(offsets), np.concatenate(values)
@@ -177,7 +176,7 @@ class _MaskedLossEvaluator:
             shape = self.costs.shape
             raise ValueError(f"mask must be int8 of shape {shape}, got {bits.dtype} {bits.shape}")
         flags, first = bits.view(np.bool_), None  # nonzero on bool is faster than on int8
-        for i, sl, t, pool in self._layers:
+        for i, sl, t, us, vt in self._layers:
             key = bits[sl].tobytes()
             if key == self._keys[i]:
                 continue
@@ -188,8 +187,7 @@ class _MaskedLossEvaluator:
             triplets = key[: t * bits.itemsize]
             if triplets != self._triplet_keys[i]:
                 keep = flags[sl.start : sl.start + t]  # compress: [:, keep] and [keep], faster
-                us, vt = pool.triplet_us.compress(keep, 1), pool.triplet_vt.compress(keep, 0)
-                np.matmul(us, vt, out=self.weights[i])
+                np.matmul(us.compress(keep, 1), vt.compress(keep, 0), out=self.weights[i])
                 self._triplet_keys[i] = triplets
         if first is not None:
             kept = flags.nonzero()[0]
@@ -322,15 +320,15 @@ def heuristic_threshold_baseline(job: CompressionJob):
 def _family_pools(pools) -> dict[str, dict]:
     """Pools of the family rows, each full pool cut to one part: its
     triplets only, and its sparse entries only."""
-    low_rank, sparse = {}, {}
-    for i, p in pools.items():
-        t, f = p.n_triplets, p.svd
-        no_entries = {"entry_values": p.entry_values[:0], "entry_flat": p.entry_flat[:0]}
-        low_rank[i] = replace(p, costs=p.costs[:t], magnitudes=p.magnitudes[:t], **no_entries)
-        no_triplets = {"triplet_us": p.triplet_us[:, :0], "triplet_vt": p.triplet_vt[:0]}
-        no_triplets["svd"] = SvdFactorization(f.u[:, :0], f.sigma[:0], f.v[:, :0])
-        sparse[i] = replace(p, costs=p.costs[t:], magnitudes=p.magnitudes[t:], **no_triplets)
-    return {"low_rank_only": low_rank, "sparse_only": sparse}
+    return {
+        "low_rank_only": {
+            i: replace(p, entry_values=p.entry_values[:0], entry_flat=p.entry_flat[:0])
+            for i, p in pools.items()
+        },
+        "sparse_only": {
+            i: replace(p, u=p.u[:, :0], sigma=p.sigma[:0], vt=p.vt[:0]) for i, p in pools.items()
+        },
+    }
 
 
 def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:

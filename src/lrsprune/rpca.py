@@ -39,6 +39,10 @@ by the residual of its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE``
 reaches half the smaller dimension the step takes the full SVD, so small
 layers always take the exact path. ``RpcaResult.factors`` holds the last
 step's shrunk factorization, whose product is ``l``.
+
+Stage 1 is the only code that makes factorizations, so this module also
+holds what the others read of one: ``SvdFactorization``, its sign
+convention ``column_signs``, ``SvdError`` and the matrix check ``as_matrix``.
 """
 
 from __future__ import annotations
@@ -48,15 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SvdError,
-    SvdFactorization,
-    as_matrix,
-    column_signs,
-    frobenius_norm,
-    thin_svd,
-)
-
 RHO = 1.5  # penalty growth factor per ADMM iteration
 MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR times its start
 RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
@@ -64,6 +59,56 @@ INITIAL_RANK = 10  # the guess the first step's survivor count is compared with
 RANK_STEP = 0.05  # rank growth, as a fraction of the smaller dimension
 OVERSAMPLE = 10  # range-finder columns beyond the predicted rank
 POWER_ITERS = 1  # range-finder power iterations
+
+
+class SvdError(Exception):
+    """The SVD backend failed to produce a factorization."""
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 C-order array with finite entries."""
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+@dataclass
+class SvdFactorization:
+    """Thin SVD ``a = u @ diag(sigma) @ v.T`` with sigma non-negative, descending."""
+
+    u: np.ndarray  # (m, r)
+    sigma: np.ndarray  # (r,)
+    v: np.ndarray  # (n, r)
+
+    @property
+    def rank(self) -> int:
+        return int(self.sigma.size)
+
+
+def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(m, full_matrices=False)`` as it comes, signs unfixed, on a
+    checked matrix.
+
+    Raises:
+        SvdError: if the backend does not converge.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdError(f"svd of shape {m.shape} did not converge: {exc}") from exc
+
+
+def column_signs(u: np.ndarray) -> np.ndarray:
+    """The sign convention of every factorization Stage 1 returns: per column
+    of ``u``, the sign that makes its largest-magnitude entry positive (ties
+    to the lowest row; +1 for a zero column). Each column's sign depends on
+    that column alone, so fixed factors are bit-identical on bit-identical input."""
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return signs
 
 
 class NonConvergenceError(Exception):
@@ -215,11 +260,12 @@ def svt(
     attempt starting from the right block of the one before, until the first
     computed value at or below ``tau`` stays there when widened by its
     residual; otherwise they come from the full SVD, which needs no ``rng``.
-    Either path fixes ``linalg.svd``'s sign convention on the survivors only,
-    so the full path's factors equal ``linalg.svd(a)`` cut to them, byte for
-    byte, and returns every right singular vector it computed unsigned, as
-    ``np.linalg.svd`` or the range finder gives them; a start column's sign
-    does not change the range finder's basis.
+    Either path fixes ``column_signs``'s sign convention on the survivors
+    only, so the full path's factors equal those of ``thin_svd(a)`` signed by
+    ``column_signs`` and cut to them, byte for byte, and returns every right
+    singular vector it computed unsigned, as ``np.linalg.svd`` or the range
+    finder gives them; a start column's sign does not change the range
+    finder's basis.
 
     The acceptance rule certifies the survivor set, not the kept values: it
     guarantees that no singular value above ``tau`` is missed, but the kept
@@ -245,7 +291,7 @@ def svt(
         u, sigma, vh = thin_svd(a)
         f = SvdFactorization(u=u, sigma=sigma, v=vh.T)
     svp = int(np.count_nonzero(f.sigma > tau))
-    signs = column_signs(f.u[:, :svp])  # svd's signs, fixed on the survivors only
+    signs = column_signs(f.u[:, :svp])  # fixed on the survivors only
     shrunk = SvdFactorization(
         u=np.ascontiguousarray(f.u[:, :svp] * signs),
         sigma=svt_shrink(f.sigma[:svp], tau),
@@ -290,7 +336,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         )
 
     lam = config.lam if config.lam is not None else default_lambda(rows, cols)
-    scale = max(frobenius_norm(w), 1e-12)
+    scale = float(np.linalg.norm(w))
     small = min(rows, cols)
     # W's spectrum from its smaller Gram matrix: x holds W's right singular
     # vectors if rows >= cols, else its left ones
@@ -314,7 +360,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     else:
         u, block = x[:, :svp], _unit_columns(w.T @ x[:, :width])[0]
         v = block[:, :svp]
-    signs = column_signs(u)  # svd's signs, on the survivors
+    signs = column_signs(u)  # on the survivors
     factors = SvdFactorization(
         u=np.ascontiguousarray(u * signs),
         sigma=svt_shrink(sigma[:svp], 1.0 / mu),

@@ -1,6 +1,7 @@
 """Reference code that only tests call: exhaustive oracles for small
-mask-selection problems, a plain planted matrix, and the default toy model
-and single-layer job the tests share.
+mask-selection problems, a sign-fixed full SVD and the Frobenius norm, a
+plain planted matrix, and the default toy model and single-layer job the
+tests share.
 
 The oracles enumerate every mask, so they are only practical for pools of a
 few dozen candidates at most.
@@ -16,6 +17,7 @@ from lrsprune.allocator import PolicyGradientConfig
 from lrsprune.calibration import ToyModel, _plant_outliers, gen_calibration, planted_model
 from lrsprune.pipeline import CompressionJob
 from lrsprune.pool import CandidatePool
+from lrsprune.rpca import SvdFactorization, as_matrix, column_signs, thin_svd
 
 BRUTE_FORCE_CAP = 20
 ENUMERATION_CAP = 16
@@ -107,6 +109,26 @@ def exact_expected_loss_grad(probs, loss_fn) -> np.ndarray:
             others = float(np.prod(np.delete(weights, k)))
             grad[k] += loss * others * (1.0 if bits[k] else -1.0)
     return grad
+
+
+def svd(a) -> SvdFactorization:
+    """Full thin SVD with ``column_signs``'s sign convention.
+
+    The largest-magnitude entry of every left singular vector is made
+    positive (ties resolved to the lowest row index), so repeated calls on
+    bit-identical input return bit-identical factors.
+    """
+    u, sigma, vh = thin_svd(as_matrix(a))
+    signs = column_signs(u)
+    return SvdFactorization(
+        u=np.ascontiguousarray(u * signs),
+        sigma=np.ascontiguousarray(sigma),
+        v=np.ascontiguousarray(vh.T * signs),
+    )
+
+
+def frobenius_norm(a) -> float:
+    return float(np.linalg.norm(as_matrix(a)))
 
 
 def planted_matrix(

@@ -17,10 +17,9 @@ from lrsprune.calibration import (
     random_orthonormal,
     reconstruct,
 )
-from lrsprune.linalg import SvdFactorization, frobenius_norm, svd
 from lrsprune.pool import build_pool, param_count
-from lrsprune.rpca import decompose
-from references import TOY_SHAPES, default_toy_model, planted_matrix
+from lrsprune.rpca import SvdFactorization, decompose
+from references import TOY_SHAPES, default_toy_model, frobenius_norm, planted_matrix, svd
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +130,7 @@ class TestReconstruct:
         pool, _, _, _ = planted_pool
         mask = np.zeros(pool.size)
         mask[0] = 1
-        top = pool.svd.sigma[0] * np.outer(pool.svd.u[:, 0], pool.svd.v[:, 0])
+        top = pool.sigma[0] * np.outer(pool.u[:, 0], pool.vt[0])
         np.testing.assert_allclose(reconstruct(pool, mask), top, atol=1e-12)
 
     def test_entries_only_restore_sparse_part_exactly(self, planted_pool):
@@ -147,11 +146,11 @@ class TestReconstruct:
 
 
 def explicit_rebuild(pool, mask):
-    """(u[:, idx] * sigma) @ v[:, idx].T plus the kept sparse entries, from
-    the pool's factorization and entry lists."""
+    """(u[:, idx] * sigma) @ vt[idx] plus the kept sparse entries, from
+    the pool's triplets and entry lists."""
     t = pool.n_triplets
     keep_t, keep_e = mask[:t] != 0, mask[t:] != 0
-    out = (pool.svd.u[:, keep_t] * pool.svd.sigma[keep_t]) @ pool.svd.v[:, keep_t].T
+    out = (pool.u[:, keep_t] * pool.sigma[keep_t]) @ pool.vt[keep_t]
     rows, cols = np.divmod(pool.entry_flat[keep_e], pool.cols)
     out[rows, cols] += pool.entry_values[keep_e]
     return out

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrsprune.linalg import as_matrix, frobenius_norm, svd
+from lrsprune.rpca import as_matrix
+from references import frobenius_norm, svd
 
 small_dims = st.integers(min_value=1, max_value=12)
 finite_entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)

@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lrsprune.linalg import svd
 from lrsprune.pool import build_pool
-from references import brute_force_best_mask, exact_expected_loss
+from references import brute_force_best_mask, exact_expected_loss, svd
 
 
 def zeros_count_loss(bits):

@@ -19,7 +19,6 @@ from lrsprune.calibration import (
     planted_model,
     reconstruct,
 )
-from lrsprune.linalg import SvdFactorization
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     MODES,
@@ -38,7 +37,7 @@ from lrsprune.pipeline import (
     sweep_lambda,
 )
 from lrsprune.pool import build_pool
-from lrsprune.rpca import RpcaConfig, decompose
+from lrsprune.rpca import RpcaConfig, SvdFactorization, decompose
 from references import brute_force_best_mask, single_layer_job
 
 
@@ -314,7 +313,7 @@ def reference_threshold_masks(job, components):
         res = decompose(w, job.rpca_config)
         pool = build_pool(i, res.factors, res.s)
         masks[i] = np.zeros(pool.size, dtype=np.int8)
-        for k, sigma in enumerate(pool.svd.sigma):
+        for k, sigma in enumerate(pool.sigma):
             candidates.append((i, k, "low_rank_only", float(sigma), pool.rows + pool.cols))
         for k, value in enumerate(pool.entry_values):
             candidates.append((i, pool.n_triplets + k, "sparse_only", abs(float(value)), 1))
@@ -639,7 +638,7 @@ class TestFamilyPools:
                 got, want = getattr(sparse, name), getattr(pool, name)
                 assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
                 assert getattr(low_rank, name).size == 0, name
-            for name in ("triplet_us", "triplet_vt"):
+            for name in ("u", "sigma", "vt"):
                 got, want = getattr(low_rank, name), getattr(pool, name)
                 assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
                 assert getattr(sparse, name).size == 0, name

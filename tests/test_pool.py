@@ -1,15 +1,16 @@
 """Candidate enumeration: families, costs, deterministic ordering, recounts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrsprune.calibration import factorize, reconstruct
-from lrsprune.linalg import SvdFactorization, svd
+from lrsprune.calibration import factorize, planted_model, reconstruct
 from lrsprune.pool import build_pool, param_count
-from lrsprune.rpca import decompose
-from references import planted_matrix
+from lrsprune.rpca import SvdFactorization, decompose
+from references import planted_matrix, svd
 
 
 def rank2_plus_entries():
@@ -38,7 +39,7 @@ class TestBuildPool:
         pool = build_pool("layer", svd(l), s)
         assert pool.n_triplets == 2
         assert pool.size == 9
-        assert pool.svd.u.shape == (10, 2) and pool.svd.v.shape == (6, 2)
+        assert pool.u.shape == (10, 2) and pool.vt.shape == (2, 6)
         assert all(c == 16 for c in pool.costs[:2])
         assert pool.entry_values.size == 7
         assert all(c == 1 for c in pool.costs[2:])
@@ -85,7 +86,30 @@ class TestBuildPool:
         for name in ("costs", "magnitudes", "entry_flat"):
             assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
         assert p1.entry_values.tobytes() == p2.entry_values.tobytes()
-        assert p1.svd.sigma.tobytes() == p2.svd.sigma.tobytes()
+        assert p1.sigma.tobytes() == p2.sigma.tobytes()
+
+
+def held_arrays(obj):
+    """Every array ``obj`` holds, in nested dataclasses too."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from held_arrays(value)
+
+
+def test_pools_store_each_candidate_once():
+    # the full pools of the 3x256^2 stack of model seed 0: 21 triplets and
+    # 3,277 entries per layer; a triplet is U column, sigma and V^T row, an
+    # entry its value and flat position, and nothing else is stored
+    model = planted_model([(256, 256)] * 3, np.random.default_rng(0))
+    total = 0
+    for i, w in enumerate(model.layers):
+        res = decompose(w)
+        pool = build_pool(i, res.factors, res.s)
+        assert (pool.n_triplets, pool.size) == (21, 3298)
+        total += sum(a.nbytes for a in held_arrays(pool))
+    assert total == 3 * (21 * (256 + 1 + 256) + 3277 * 2) * 8 == 415_848
 
 
 class TestDegenerateLayers:

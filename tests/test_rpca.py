@@ -13,27 +13,23 @@ from lrsprune.calibration import (
     planted_model,
     planted_spectrum_matrix,
 )
-from lrsprune.linalg import (
-    SvdError,
-    SvdFactorization,
-    as_matrix,
-    column_signs,
-    frobenius_norm,
-    svd,
-)
 from lrsprune.rpca import (
     MU_CAP_FACTOR,
     RANK_CUTOFF,
     RHO,
     NonConvergenceError,
     RpcaConfig,
+    SvdError,
+    SvdFactorization,
+    as_matrix,
+    column_signs,
     decompose,
     default_lambda,
     soft_threshold,
     svt,
     svt_shrink,
 )
-from references import default_toy_model, planted_matrix
+from references import default_toy_model, frobenius_norm, planted_matrix, svd
 
 
 def full_svd_ialm(w, config=RpcaConfig()):
@@ -224,6 +220,26 @@ class TestDecompose:
             np.testing.assert_allclose(scaled.l, c * base.l, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(scaled.s, c * base.s, rtol=1e-8, atol=1e-10)
             assert scaled.iterations == base.iterations
+
+    @pytest.mark.parametrize("layer", ["toy1", "256x256"])
+    def test_tiny_scales_give_the_unit_scale_split(self, layer):
+        """The stopping rule is relative to ||W||_F with no floor, so a layer
+        scaled far below 1 takes the same steps as at unit scale.
+
+        Scales whose squares leave the normal float range (below about
+        1e-154, or about 1e154 and above) are out of scope: W's spectrum comes
+        from the eigendecomposition of its Gram matrix, which squares W.
+        """
+        w = {
+            "toy1": default_toy_model(np.random.default_rng(0)).layers[1],
+            "256x256": planted_model([(256, 256)] * 2, np.random.default_rng(0)).layers[1],
+        }[layer]
+        base = decompose(w)
+        for c in (1e-20, 1e-100, 1e-150):
+            scaled = decompose(c * w)
+            assert (scaled.iterations, scaled.rank_l) == (base.iterations, base.rank_l), c
+            assert np.array_equal(scaled.s != 0.0, base.s != 0.0), c
+            assert np.linalg.norm(scaled.l / c - base.l) <= 1e-14 * np.linalg.norm(base.l), c
 
     def test_sparsity_monotone_in_lambda(self, rng):
         w, _, _ = planted_matrix(30, 24, 2, rng)
@@ -478,7 +494,7 @@ class TestTruncatedSvt:
 
 
 def linalg_svt(a, tau, k, rng, start=None):
-    """``svt`` with every full-SVD step taken by ``linalg.svd``: every column
+    """``svt`` with every full-SVD step taken by the reference ``svd``: every column
     signed, then cut to the survivors, and the signed right vectors returned
     as the start block. The range-finder path is ``svt``'s own, its survivors
     signed as ``svd`` signs them."""
