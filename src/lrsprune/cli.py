@@ -15,6 +15,7 @@ file, 4 solver non-convergence (ADMM or SVD), 5 filesystem error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -224,6 +225,7 @@ def _common(sub, out_required: bool = False) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress normal output")
 
 
+@functools.cache  # parsing reads the parser and never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrsprune",

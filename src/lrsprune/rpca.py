@@ -25,10 +25,17 @@ Every later SVT step computes only the triplets that can survive (Lin, Chen
 INITIAL_RANK, the guess the first step's survivor count ``svp`` is compared
 with; it becomes ``svp + 1`` if ``svp < k``, else ``svp`` plus RANK_STEP of
 the smaller dimension. A randomized range finder (Halko, Martinsson & Tropp
-2011) with OVERSAMPLE extra columns, POWER_ITERS (one) QR-orthonormalized
-power iteration and a generator seeded in ``decompose`` yields the top
-triplets, by Rayleigh-Ritz from the eigendecomposition of the small
-``B^T B``, ``B = A^T Q``. It is warm-started (ibid., section 4.5): the
+2011) with OVERSAMPLE extra columns, POWER_ITERS (one) power iteration and
+a generator seeded in ``decompose`` yields the top triplets, by
+Rayleigh-Ritz from the eigendecomposition of the small ``B^T B``,
+``B = A^T Q``. It takes two QRs per call: ``Q = qr(A Omega)``, then
+``Q = qr(A (A^T Q))``, with no QR of ``A^T Q`` between. That spans the
+same subspace in exact arithmetic; in floating point the unnormalized
+``A A^T Q`` loses only directions below about ``sqrt(eps) sigma_1``
+(1.5e-8 sigma_1), while the smallest threshold the solver applies,
+``1 / mu_cap``, is ``sigma_1 / (1.25 MU_CAP_FACTOR)`` = 8e-8 sigma_1, so
+no survivor lies below that floor, and the acceptance rule below still
+certifies every cut. It is warm-started (ibid., section 4.5): the
 right block of the last attempt, all its columns rather than the shrunk
 survivors, replaces the leading columns of the Gaussian test block, both
 in the next attempt of a step and in the first attempt of the
@@ -39,6 +46,12 @@ by the residual of its pair; otherwise ``k`` doubles. Once ``k + OVERSAMPLE``
 reaches half the smaller dimension the step takes the full SVD, so small
 layers always take the exact path. ``RpcaResult.factors`` holds the last
 step's shrunk factorization, whose product is ``l``.
+
+The solver runs on ``W / 2^e``, with ``e`` the binary exponent of ``max|W|``,
+and scales ``l``, ``s`` and the singular values back by ``2^e``. Powers of two
+scale exactly, so ``decompose(2^j W)`` is ``2^j decompose(W)`` byte for byte,
+and at any finite scale no square in W's Gram matrix leaves the normal float
+range unless it does at unit scale.
 
 Stage 1 is the only code that makes factorizations, so this module also
 holds what the others read of one: ``SvdFactorization``, its sign
@@ -166,14 +179,13 @@ def svt_shrink(sigma, tau: float) -> np.ndarray:
 
 
 def soft_threshold(x, tau: float, out: np.ndarray | None = None) -> np.ndarray:
-    """sign(x) * max(|x| - tau, 0), entrywise; written into ``out`` if given,
-    which must not share memory with ``x``."""
+    """sign(x) * max(|x| - tau, 0), entrywise, computed as ``x - clip(x, -tau, tau)``
+    in two passes: +0.0 where |x| <= tau, and elsewhere the same rounding as
+    the product form. Written into ``out`` if given, which must not share
+    memory with ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=out)
-    out -= tau
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(x)
-    return out
+    out = np.clip(x, -tau, tau, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,9 +245,8 @@ def _top_triplets(
         j = min(k, start.shape[1])
         block[:, :j] = start[:, :j]
     q = np.linalg.qr(a @ block)[0]
-    for _ in range(POWER_ITERS):
-        q = np.linalg.qr(a.T @ q)[0]
-        q = np.linalg.qr(a @ q)[0]
+    for _ in range(POWER_ITERS):  # a.T @ q needs no QR of its own (module docstring)
+        q = np.linalg.qr(a @ (a.T @ q))[0]
     b = a.T @ q
     x = _gram_eigh(b)[1]
     v, sigma = _unit_columns(b @ x)
@@ -335,6 +346,11 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             ),
         )
 
+    # run on w / 2^e, whose largest entry lies in [1/2, 1): exact, and W's
+    # scale alone can then neither overflow nor underflow its Gram matrix
+    e = int(np.frexp(w_max)[1])
+    w = np.ldexp(w, -e)
+    w_max = math.ldexp(w_max, -e)
     lam = config.lam if config.lam is not None else default_lambda(rows, cols)
     scale = float(np.linalg.norm(w))
     small = min(rows, cols)
@@ -381,10 +397,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             factors, block = svt(a, 1.0 / mu, k, rng, block)
             k = _predicted_rank(factors.rank, k, small)
         l = (factors.u * factors.sigma) @ factors.v.T
-        np.subtract(w, l, out=a)
-        a += y_mu
-        soft_threshold(a, lam / mu, out=s)
         np.subtract(w, l, out=gap)
+        soft_threshold(np.add(gap, y_mu, out=a), lam / mu, out=s)
         gap -= s
         y += np.multiply(gap, mu, out=a)
         mu = min(RHO * mu, mu_cap)
@@ -396,8 +410,10 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     else:
         raise NonConvergenceError(config.max_iters, residual, config.tol)
 
-    sig = factors.sigma
+    sig = np.ldexp(factors.sigma, e, out=factors.sigma)
     rank_l = int(np.count_nonzero(sig > RANK_CUTOFF * sig[0])) if sig.size else 0
+    np.ldexp(l, e, out=l)
+    np.ldexp(s, e, out=s)
     return RpcaResult(
         l=l,
         s=s,

@@ -1,7 +1,7 @@
 """Reference code that only tests call: exhaustive oracles for small
 mask-selection problems, a sign-fixed full SVD and the Frobenius norm, a
-plain planted matrix, and the default toy model and single-layer job the
-tests share.
+plain planted matrix, a heavy-tailed stack, and the default toy model and
+single-layer job the tests share.
 
 The oracles enumerate every mask, so they are only practical for pools of a
 few dozen candidates at most.
@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from lrsprune.allocator import PolicyGradientConfig
-from lrsprune.calibration import ToyModel, _plant_outliers, gen_calibration, planted_model
+from lrsprune.calibration import (
+    ToyModel,
+    _plant_outliers,
+    gen_calibration,
+    planted_model,
+    random_orthonormal,
+)
 from lrsprune.pipeline import CompressionJob
 from lrsprune.pool import CandidatePool
 from lrsprune.rpca import SvdFactorization, as_matrix, column_signs, thin_svd
@@ -160,6 +166,29 @@ def planted_matrix(
         l0 = l0 * scale
         s0 = s0 * scale
     return l0 + s0, l0, s0
+
+
+def heavy_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A layer shaped like trained weights rather than planted ones: heavy
+    tailed spectrum (Martin & Mahoney 2021) and a few outsized input channels
+    (Dettmers et al. 2022).
+
+    An orthonormal basis pair, drawn without the spread cap, carries
+    sigma_k proportional to 1/k over the full rank; three input-channel rows
+    (rows of ``w``, since a layer computes ``h @ w``) are scaled by 10, and
+    the whole matrix is rescaled so ||W||_F^2 = cols.
+    """
+    r = min(rows, cols)
+    u = random_orthonormal(rows, r, rng, spread_cap=None)
+    v = random_orthonormal(cols, r, rng, spread_cap=None)
+    w = (u / np.arange(1, r + 1)) @ v.T
+    w[rng.choice(rows, 3, replace=False)] *= 10.0
+    return w * np.sqrt(cols / np.sum(w * w))
+
+
+def heavy_model(shapes, rng: np.random.Generator) -> ToyModel:
+    """Stack of ``heavy_matrix`` layers, drawn in order from one generator."""
+    return ToyModel(layers=[heavy_matrix(m, n, rng) for m, n in shapes])
 
 
 def default_toy_model(rng: np.random.Generator) -> ToyModel:

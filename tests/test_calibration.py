@@ -19,7 +19,15 @@ from lrsprune.calibration import (
 )
 from lrsprune.pool import build_pool, param_count
 from lrsprune.rpca import SvdFactorization, decompose
-from references import TOY_SHAPES, default_toy_model, frobenius_norm, planted_matrix, svd
+from references import (
+    TOY_SHAPES,
+    default_toy_model,
+    frobenius_norm,
+    heavy_matrix,
+    heavy_model,
+    planted_matrix,
+    svd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +348,29 @@ class TestPlantedSpectrumMatrix:
     def test_rejects_bad_decay(self, rng):
         with pytest.raises(ValueError):
             planted_spectrum_matrix(8, 6, 1, rng, decay=0.0)
+
+
+class TestHeavyMatrix:
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 96), (96, 64)])
+    def test_three_outsized_rows_on_a_one_over_k_spectrum(self, shape):
+        w = heavy_matrix(*shape, np.random.default_rng(0))
+        assert float(np.sum(w * w)) == pytest.approx(shape[1], rel=1e-12)
+        # the three largest rows stand out; scaled back by 10, they leave
+        # sigma_k proportional to 1/k over the full rank
+        top = np.argsort(np.linalg.norm(w, axis=1))[-3:]
+        others = np.delete(np.linalg.norm(w, axis=1), top)
+        assert np.linalg.norm(w[top], axis=1).min() > 2 * others.max()
+        base = w.copy()
+        base[top] /= 10.0
+        sig = np.linalg.svd(base, compute_uv=False)
+        np.testing.assert_allclose(sig * np.arange(1, sig.size + 1), sig[0], rtol=1e-10)
+
+    def test_stack_draws_its_layers_in_order(self):
+        model = heavy_model([(32, 24), (24, 16)], np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        first, second = heavy_matrix(32, 24, rng), heavy_matrix(24, 16, rng)
+        assert model.layers[0].tobytes() == first.tobytes()
+        assert model.layers[1].tobytes() == second.tobytes()
 
 
 class TestRandomOrthonormal:

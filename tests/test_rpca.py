@@ -29,7 +29,7 @@ from lrsprune.rpca import (
     svt,
     svt_shrink,
 )
-from references import default_toy_model, frobenius_norm, planted_matrix, svd
+from references import default_toy_model, frobenius_norm, heavy_model, planted_matrix, svd
 
 
 def full_svd_ialm(w, config=RpcaConfig()):
@@ -72,6 +72,37 @@ def gapped_matrix(rng):
     return (u * sigma) @ v.T, sigma
 
 
+def named_layer(name):
+    """Toy layer 1 and planted 256x256 layer 1 of model seed 0, or the first
+    heavy 128x128 layer of seed 0."""
+    rng = np.random.default_rng(0)
+    if name == "toy1":
+        return default_toy_model(rng).layers[1]
+    if name == "256x256":
+        return planted_model([(256, 256)] * 2, rng).layers[1]
+    if name == "heavy128":
+        return heavy_model([(128, 128)] * 3, rng).layers[0]
+    raise KeyError(name)
+
+
+def three_qr_top_triplets(a, k, rng, start=None):
+    """``rpca._top_triplets`` with a QR of ``a.T @ q`` inside the power
+    iteration, as a reference for the two-QR range finder."""
+    block = rng.standard_normal((a.shape[1], k))
+    if start is not None:
+        j = min(k, start.shape[1])
+        block[:, :j] = start[:, :j]
+    q = np.linalg.qr(a @ block)[0]
+    for _ in range(rpca.POWER_ITERS):
+        q = np.linalg.qr(a.T @ q)[0]
+        q = np.linalg.qr(a @ q)[0]
+    b = a.T @ q
+    x = rpca._gram_eigh(b)[1]
+    v, sigma = rpca._unit_columns(b @ x)
+    order = np.argsort(-sigma, kind="stable")
+    return SvdFactorization(u=q @ x[:, order], sigma=sigma[order], v=v[:, order])
+
+
 @pytest.fixture
 def range_finder_calls(monkeypatch):
     """Counts the truncated steps, so a test can show it left the full-SVD path."""
@@ -105,6 +136,14 @@ class TestShrinkage:
         np.testing.assert_array_equal(
             soft_threshold([-1.2, 0.4, 0.0, 2.0], 0.5), [-0.7, 0.0, 0.0, 1.5]
         )
+
+    def test_soft_threshold_zeros_are_positive(self, rng):
+        x = np.concatenate([rng.standard_normal(1000), [0.5, -0.5, 0.0, -0.0, 0.25, -0.25]])
+        got = soft_threshold(x, 0.5)
+        small = np.abs(x) <= 0.5
+        assert np.all(got[small] == 0.0) and not np.any(np.signbit(got[small]))
+        want = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
+        assert got[~small].tobytes() == want[~small].tobytes()
 
 
 def update_l(w, s, y, mu):
@@ -223,23 +262,34 @@ class TestDecompose:
 
     @pytest.mark.parametrize("layer", ["toy1", "256x256"])
     def test_tiny_scales_give_the_unit_scale_split(self, layer):
-        """The stopping rule is relative to ||W||_F with no floor, so a layer
-        scaled far below 1 takes the same steps as at unit scale.
-
-        Scales whose squares leave the normal float range (below about
-        1e-154, or about 1e154 and above) are out of scope: W's spectrum comes
-        from the eigendecomposition of its Gram matrix, which squares W.
+        """The stopping rule is relative to ||W||_F with no floor, and the
+        solver runs on W divided by a power of two that brings max|W| into
+        [1/2, 1), so a layer scaled far below or above 1 takes the same steps
+        as at unit scale, also where W's squares, which its Gram matrix
+        holds, would leave the normal float range (below about 1e-154, or
+        about 1e154 and above).
         """
-        w = {
-            "toy1": default_toy_model(np.random.default_rng(0)).layers[1],
-            "256x256": planted_model([(256, 256)] * 2, np.random.default_rng(0)).layers[1],
-        }[layer]
+        w = named_layer(layer)
         base = decompose(w)
-        for c in (1e-20, 1e-100, 1e-150):
+        for c in (1e-20, 1e-100, 1e-150, 1e-160, 1e-300, 1e160, 1e300):
             scaled = decompose(c * w)
             assert (scaled.iterations, scaled.rank_l) == (base.iterations, base.rank_l), c
             assert np.array_equal(scaled.s != 0.0, base.s != 0.0), c
             assert np.linalg.norm(scaled.l / c - base.l) <= 1e-14 * np.linalg.norm(base.l), c
+
+    @pytest.mark.parametrize("layer", ["toy1", "256x256"])
+    def test_powers_of_two_scale_exactly(self, layer):
+        w = named_layer(layer)
+        base = decompose(w)
+        for j in (600, 3, -3, -600):
+            scaled = decompose(np.ldexp(w, j))
+            for part in ("l", "s"):
+                assert getattr(scaled, part).tobytes() == np.ldexp(getattr(base, part), j).tobytes()
+            assert scaled.factors.sigma.tobytes() == np.ldexp(base.factors.sigma, j).tobytes()
+            for part in ("u", "v"):
+                assert getattr(scaled.factors, part).tobytes() == getattr(base.factors, part).tobytes()
+            assert scaled.residual_history == base.residual_history
+            assert (scaled.iterations, scaled.rank_l) == (base.iterations, base.rank_l)
 
     def test_sparsity_monotone_in_lambda(self, rng):
         w, _, _ = planted_matrix(30, 24, 2, rng)
@@ -421,6 +471,36 @@ class TestTruncatedSvt:
         vt = np.linalg.svd(w)[2][:21]
         assert np.linalg.norm(start[:, :21] - vt.T @ (vt @ start[:, :21]), 2) <= 1e-10
         assert all(start is v for (_, start, _), (_, _, v) in zip(calls[1:], calls))
+
+    def test_range_finder_makes_two_qrs(self, rng, monkeypatch):
+        # one for the test block's image, one for the power iteration's
+        shapes, original = [], np.linalg.qr
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda m, *args, **kw: shapes.append(m.shape) or original(m, *args, **kw)
+        )
+        assert rpca.POWER_ITERS == 1
+        rpca._top_triplets(rng.standard_normal((60, 50)), 12, np.random.default_rng(1))
+        assert shapes == [(60, 12), (60, 12)]
+
+    @pytest.mark.parametrize("layer", ["256x256", "heavy128"])
+    def test_two_qrs_give_the_three_qr_split(self, layer, monkeypatch):
+        # the heavy layer is compared with the three-QR range finder, not with
+        # full_svd_ialm: there the kept Ritz values, which the acceptance rule
+        # does not certify, put either finder's L some 1e-5 from the full SVD's
+        w = named_layer(layer)
+
+        def split(finder):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(rpca, "_top_triplets", lambda *args: calls.append(args[1]) or finder(*args))
+                return decompose(w), calls
+
+        got, got_calls = split(rpca._top_triplets)
+        want, want_calls = split(three_qr_top_triplets)
+        assert got_calls == want_calls and got_calls
+        assert (got.iterations, got.rank_l) == (want.iterations, want.rank_l)
+        assert np.array_equal(got.s != 0.0, want.s != 0.0)
+        assert frobenius_norm(got.l - want.l) <= 1e-12 * frobenius_norm(want.l)
 
     @pytest.mark.parametrize("k", [30, 40, 45])
     def test_ritz_values_match_linalg_svd(self, k, rng):
