@@ -19,15 +19,12 @@ from .allocator import (
 )
 from .calibration import (
     CalibrationSet,
-    CompressedLayer,
     ToyModel,
-    factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
     planted_model,
     planted_spectrum_matrix,
-    reconstruct,
 )
 from .matio import (
     ConfigError,
@@ -50,7 +47,7 @@ from .pipeline import (
     run,
     sweep_lambda,
 )
-from .pool import CandidatePool, build_pool, param_count
+from .pool import CandidatePool, CompressedLayer, build_pool, factorize, param_count, reconstruct
 from .rpca import (
     NonConvergenceError,
     RpcaConfig,

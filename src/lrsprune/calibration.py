@@ -1,9 +1,10 @@
-"""Toy multilayer models, calibration data, and masked-reconstruction losses.
+"""Toy multilayer models, calibration data, and task losses.
 
 A model is a stack of dense weight matrices applied left to right,
 ``h <- relu(h @ W)``, with the rectifier between layers only. The task loss
 is the squared output error summed over coordinates and averaged over the
-calibration records.
+calibration records; ``loss_with_masks`` scores masks over candidate pools
+through ``pool.reconstruct``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import CandidatePool, _split
+from .pool import reconstruct
 from .rpca import as_matrix
 
 # planted layers: 5% outliers at 10x the mean low-rank magnitude, per-layer
@@ -118,53 +119,6 @@ def _task_loss(weights, calib: CalibrationSet) -> float:
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error."""
     return _task_loss(model.layers, calib)
-
-
-def reconstruct(pool: CandidatePool, mask) -> np.ndarray:
-    """Dense weight rebuilt from the retained candidates: the product of the
-    kept singular triplets, with the kept sparse entries added at their
-    positions. Stage 2's group rebuild computes the same values in place."""
-    keep_t, keep_e = _split(pool, mask)
-    w = (pool.u[:, keep_t] * pool.sigma[keep_t]) @ pool.vt[keep_t]
-    w.reshape(-1)[pool.entry_flat[keep_e]] += pool.entry_values[keep_e]
-    return w
-
-
-@dataclass
-class CompressedLayer:
-    """Stored form of one pruned layer: ``u_prime @ v_prime.T + s_masked``."""
-
-    u_prime: np.ndarray  # (rows, r'), columns sqrt(sigma_i) u_i, descending sigma
-    v_prime: np.ndarray  # (cols, r')
-    s_masked: np.ndarray  # (rows, cols), retained sparse entries only
-    mask: np.ndarray
-    retained_rank: int
-
-    @property
-    def stored_params(self) -> int:
-        return int(
-            self.u_prime.size + self.v_prime.size + np.count_nonzero(self.s_masked)
-        )
-
-    def dense(self) -> np.ndarray:
-        return self.u_prime @ self.v_prime.T + self.s_masked
-
-
-def factorize(pool: CandidatePool, mask) -> CompressedLayer:
-    """Split the retained triplets into balanced factors via sqrt(sigma)."""
-    keep_t, keep_e = _split(pool, mask)
-    root = np.sqrt(pool.sigma[keep_t])
-    u_prime = np.ascontiguousarray(pool.u[:, keep_t] * root)
-    v_prime = np.ascontiguousarray(pool.vt[keep_t].T * root)
-    s_masked = np.zeros(pool.rows * pool.cols)
-    s_masked[pool.entry_flat[keep_e]] = pool.entry_values[keep_e]
-    return CompressedLayer(
-        u_prime=u_prime,
-        v_prime=v_prime,
-        s_masked=s_masked.reshape(pool.rows, pool.cols),
-        mask=np.asarray(mask, dtype=np.int8).copy(),
-        retained_rank=int(np.count_nonzero(keep_t)),
-    )
 
 
 def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> float:

@@ -40,15 +40,13 @@ from .calibration import (
     _forward,
     _output_loss,
     _task_loss,
-    factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
     planted_model,
-    reconstruct,
 )
 from .matio import MODES, JobConfig
-from .pool import build_pool, param_count
+from .pool import build_pool, factorize, param_count, reconstruct
 from .rpca import RpcaConfig, decompose
 
 

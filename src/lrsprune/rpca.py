@@ -254,6 +254,19 @@ def _top_triplets(
     return SvdFactorization(u=q @ x[:, order], sigma=sigma[order], v=v[:, order])
 
 
+def _shrunk_survivors(u, sigma, v, tau: float) -> SvdFactorization:
+    """The leading triplets of ``(u, sigma, v)`` whose values exceed ``tau``,
+    signed by ``column_signs``, fixed on them only, and shrunk by ``tau``.
+    ``u`` and ``v`` need only hold the survivors' columns."""
+    svp = int(np.count_nonzero(sigma > tau))
+    signs = column_signs(u[:, :svp])
+    return SvdFactorization(
+        u=np.ascontiguousarray(u[:, :svp] * signs),
+        sigma=svt_shrink(sigma[:svp], tau),
+        v=np.ascontiguousarray(v[:, :svp] * signs),
+    )
+
+
 def _predicted_rank(svp: int, k: int, small: int) -> int:
     """The next SVT step's survivor guess, after a step kept ``svp`` against the
     guess ``k``, for a matrix whose smaller dimension is ``small``."""
@@ -301,14 +314,7 @@ def svt(
     else:
         u, sigma, vh = thin_svd(a)
         f = SvdFactorization(u=u, sigma=sigma, v=vh.T)
-    svp = int(np.count_nonzero(f.sigma > tau))
-    signs = column_signs(f.u[:, :svp])  # fixed on the survivors only
-    shrunk = SvdFactorization(
-        u=np.ascontiguousarray(f.u[:, :svp] * signs),
-        sigma=svt_shrink(f.sigma[:svp], tau),
-        v=np.ascontiguousarray(f.v[:, :svp] * signs),
-    )
-    return shrunk, f.v
+    return _shrunk_survivors(f.u, f.sigma, f.v, tau), f.v
 
 
 def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
@@ -326,6 +332,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     Raises:
         NonConvergenceError: the residual stayed above ``config.tol`` for
             ``config.max_iters`` iterations.
+        ValueError: an entry of ``w`` is not finite, or a part scaled back
+            overflows (``l`` may exceed max|W| where ``s`` takes an outlier).
     """
     w = as_matrix(w)
     config = config if config is not None else RpcaConfig()
@@ -376,12 +384,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     else:
         u, block = x[:, :svp], _unit_columns(w.T @ x[:, :width])[0]
         v = block[:, :svp]
-    signs = column_signs(u)  # on the survivors
-    factors = SvdFactorization(
-        u=np.ascontiguousarray(u * signs),
-        sigma=svt_shrink(sigma[:svp], 1.0 / mu),
-        v=np.ascontiguousarray(v * signs),
-    )
+    factors = _shrunk_survivors(u, sigma, v, 1.0 / mu)
     del x, u, v  # the second step reads only the block
 
     rng = np.random.default_rng(0)
@@ -410,10 +413,11 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     else:
         raise NonConvergenceError(config.max_iters, residual, config.tol)
 
-    sig = np.ldexp(factors.sigma, e, out=factors.sigma)
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
+        sig, l, s = (np.ldexp(part, e, out=part) for part in (factors.sigma, l, s))
+    if not (np.isfinite(sig).all() and np.isfinite(l).all() and np.isfinite(s).all()):
+        raise ValueError(f"max|W| = {math.ldexp(w_max, e):.6g}: the split overflows when scaled back")
     rank_l = int(np.count_nonzero(sig > RANK_CUTOFF * sig[0])) if sig.size else 0
-    np.ldexp(l, e, out=l)
-    np.ldexp(s, e, out=s)
     return RpcaResult(
         l=l,
         s=s,

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from lrsprune.calibration import (
     CalibrationSet,
     ToyModel,
-    factorize,
     forward_loss,
     gen_calibration,
     loss_with_masks,
     planted_model,
     planted_spectrum_matrix,
     random_orthonormal,
-    reconstruct,
 )
-from lrsprune.pool import build_pool, param_count
+from lrsprune.pool import build_pool, factorize, param_count, reconstruct
 from lrsprune.rpca import SvdFactorization, decompose
 from references import (
     TOY_SHAPES,

@@ -1,5 +1,6 @@
 """File formats, job configuration parsing, and the command line surface."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from lrsprune.matio import (
     write_matrix,
 )
 from lrsprune.rpca import RpcaConfig
+from references import default_toy_model
 
 
 class TestMatrixContainer:
@@ -337,6 +339,16 @@ class TestDecompose:
         said = capsys.readouterr().err
         assert said.startswith("solver error: ") and "did not converge" in said
         assert "Traceback" not in said
+
+    def test_overflowing_split_exit_code(self, tmp_path, capsys):
+        w = default_toy_model(np.random.default_rng(0)).layers[1]
+        src = tmp_path / "huge.capm"
+        write_matrix(src, w * (1e308 / np.abs(w).max()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["decompose", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+        assert "max|W| = 1e+308" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code(self, tmp_path, model_dir):
         cfg = tmp_path / "bad.cfg"

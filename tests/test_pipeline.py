@@ -17,7 +17,6 @@ from lrsprune.calibration import (
     gen_calibration,
     loss_with_masks,
     planted_model,
-    reconstruct,
 )
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
@@ -36,7 +35,7 @@ from lrsprune.pipeline import (
     run,
     sweep_lambda,
 )
-from lrsprune.pool import build_pool
+from lrsprune.pool import build_pool, reconstruct
 from lrsprune.rpca import RpcaConfig, SvdFactorization, decompose
 from references import brute_force_best_mask, single_layer_job
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrsprune.calibration import factorize, planted_model, reconstruct
-from lrsprune.pool import build_pool, param_count
+from lrsprune.calibration import planted_model, planted_spectrum_matrix
+from lrsprune.pool import build_pool, factorize, param_count, reconstruct
 from lrsprune.rpca import SvdFactorization, decompose
-from references import planted_matrix, svd
+from references import default_toy_model, planted_matrix, svd
 
 
 def rank2_plus_entries():
@@ -182,3 +182,33 @@ class TestParamCount:
         mask = np.array(bits)
         assert param_count(pool, mask) == int(pool.costs @ mask)
 
+
+class TestTripletsAreTheReportedRank:
+    """A pool offers exactly the triplets Stage 1's ``rank_l`` counts."""
+
+    def test_tall_reference_layer(self):
+        # its 54th triplet, at sigma = 2.4e-10 sigma_1, lies below RANK_CUTOFF: no candidate
+        w = planted_spectrum_matrix(256, 96, 24, np.random.default_rng(4))[0]
+        res = decompose(w)
+        assert build_pool(0, res.factors, res.s).n_triplets == res.rank_l == 53
+
+    def test_toy_layers_and_the_256_stack(self):
+        toys = [default_toy_model(np.random.default_rng(seed)) for seed in range(10)]
+        layers = [w for toy in toys for w in toy.layers]
+        layers += planted_model([(256, 256)] * 3, np.random.default_rng(0)).layers
+        for i, w in enumerate(layers):
+            res = decompose(w)
+            assert build_pool(i, res.factors, res.s).n_triplets == res.rank_l, i
+
+
+def test_costs_are_the_one_cost_rule():
+    """``total_cost`` and ``param_count`` are sums of ``costs``."""
+    rng = np.random.default_rng(7)
+    l, s = rank2_plus_entries()
+    empty = SvdFactorization(u=np.zeros((4, 0)), sigma=np.zeros(0), v=np.zeros((6, 0)))
+    for pool in (build_pool(0, svd(l), s), build_pool(0, empty, np.zeros((4, 6)))):
+        assert pool.total_cost == pool.costs.sum()
+        masks = [np.zeros(pool.size), np.ones(pool.size)]
+        masks += [rng.integers(0, 2, pool.size, dtype=np.int8) for _ in range(20)]
+        for mask in masks:
+            assert param_count(pool, mask) == pool.costs[mask != 0].sum()

@@ -277,6 +277,14 @@ class TestDecompose:
             assert np.array_equal(scaled.s != 0.0, base.s != 0.0), c
             assert np.linalg.norm(scaled.l / c - base.l) <= 1e-14 * np.linalg.norm(base.l), c
 
+    def test_overflowing_split_raises(self):
+        """Near the float maximum L can exceed max|W| where S takes an outlier,
+        and scaling it back overflows: that raises, naming max|W|, instead of
+        returning inf parts."""
+        w = named_layer("toy1")
+        with pytest.raises(ValueError, match=r"max\|W\| = 1e\+308"):
+            decompose(w * (1e308 / np.abs(w).max()))
+
     @pytest.mark.parametrize("layer", ["toy1", "256x256"])
     def test_powers_of_two_scale_exactly(self, layer):
         w = named_layer(layer)
