@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -76,34 +77,62 @@ def _say(args, text: str) -> None:
         print(text)
 
 
+# a model directory holds layer<i>.weight.capm for i = 0, 1, ... and the
+# calibration pair; compress writes three factor files per layer
+WEIGHT = ".weight.capm"
+INPUTS, TARGETS = "calib.inputs.capm", "calib.targets.capm"
+FACTORS = (".uprime.capm", ".vprime.capm", ".smasked.capm")
+
+
+def _publish(out: Path, files: dict, family: tuple[str, ...] = ()) -> None:
+    """Write ``files`` (name to matrix or text) into ``out``, all or nothing.
+
+    They are first written into a directory made by mkdir (for the usual mode)
+    inside a private sibling of ``out``, which is then renamed to ``out``. If
+    ``out`` exists, they move into it one by one; of its other files, only the
+    ``layer<k><suffix>`` ones with a suffix in ``family`` are removed.
+    """
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent)) / "out"
+    try:
+        tmp.mkdir()
+        for name, data in files.items():
+            if isinstance(data, str):
+                (tmp / name).write_text(data)
+            else:
+                write_matrix(tmp / name, data)
+        if not out.exists():
+            tmp.rename(out)
+            return
+        for name in files:
+            os.replace(tmp / name, out / name)
+        for path in sorted(out.iterdir()):
+            match = re.fullmatch(r"layer\d+(\..+)", path.name)
+            if match and match[1] in family and path.name not in files:
+                path.unlink()
+    finally:
+        shutil.rmtree(tmp.parent, ignore_errors=True)
+
+
 def cmd_gen(args) -> int:
     job = job_from_config(_load_config(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, w in enumerate(job.model.layers):
-        path = out / f"layer{i}.weight.capm"
-        write_matrix(path, w)
-        _say(args, str(path))
-    write_matrix(out / "calib.inputs.capm", job.calib.inputs)
-    write_matrix(out / "calib.targets.capm", job.calib.targets)
-    _say(args, str(out / "calib.inputs.capm"))
-    _say(args, str(out / "calib.targets.capm"))
+    files = {f"layer{i}{WEIGHT}": w for i, w in enumerate(job.model.layers)}
+    files |= {INPUTS: job.calib.inputs, TARGETS: job.calib.targets}
+    _publish(Path(args.out), files, (WEIGHT,))
+    for name in files:
+        _say(args, str(Path(args.out) / name))
     return 0
 
 
 def cmd_decompose(args) -> int:
     config = _load_config(args)
-    w = read_matrix(args.matrix)
-    result = decompose(w, config.rpca)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    result = decompose(read_matrix(args.matrix), config.rpca)
     stem = Path(args.matrix).stem
-    write_matrix(out / f"{stem}.l.capm", result.l)
-    write_matrix(out / f"{stem}.s.capm", result.s)
     diag = "".join(
         f"{k}\t{_fmt(r)}\n" for k, r in enumerate(result.residual_history, start=1)
     )
-    (out / f"{stem}.diagnostics.txt").write_text(diag)
+    files = {f"{stem}.l.capm": result.l, f"{stem}.s.capm": result.s}
+    _publish(Path(args.out), files | {f"{stem}.diagnostics.txt": diag})
     _say(
         args,
         f"iterations={result.iterations} residual={_fmt(result.residual)} "
@@ -114,14 +143,12 @@ def cmd_decompose(args) -> int:
 
 def _read_model_dir(model_dir: Path) -> tuple[ToyModel, CalibrationSet]:
     weights = []
-    i = 0
-    while (model_dir / f"layer{i}.weight.capm").exists():
-        weights.append(read_matrix(model_dir / f"layer{i}.weight.capm"))
-        i += 1
+    while (path := model_dir / f"layer{len(weights)}{WEIGHT}").exists():
+        weights.append(read_matrix(path))
     if not weights:
-        raise FileNotFoundError(f"{model_dir / 'layer0.weight.capm'} not found")
-    inputs = read_matrix(model_dir / "calib.inputs.capm")
-    targets = read_matrix(model_dir / "calib.targets.capm")
+        raise FileNotFoundError(f"{path} not found")
+    inputs = read_matrix(model_dir / INPUTS)
+    targets = read_matrix(model_dir / TARGETS)
     return ToyModel(layers=weights), CalibrationSet(inputs=inputs, targets=targets)
 
 
@@ -129,28 +156,12 @@ def cmd_compress(args) -> int:
     config = _load_config(args)
     model, calib = _read_model_dir(Path(args.model_dir))
     report, compressed = run(job_from_config(config, model, calib))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # every output is written into a sibling temporary directory first, so a
-    # failure never leaves a partial output directory behind; the directory
-    # is made by mkdir, inside the private holder, to get the usual mode
-    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-    try:
-        tmp = holder / "out"
-        tmp.mkdir()
-        for i in sorted(compressed):
-            layer = compressed[i]
-            write_matrix(tmp / f"layer{i}.uprime.capm", layer.u_prime)
-            write_matrix(tmp / f"layer{i}.vprime.capm", layer.v_prime)
-            write_matrix(tmp / f"layer{i}.smasked.capm", layer.s_masked)
-        (tmp / "report.tsv").write_text(format_report(report))
-        if out.exists():
-            for path in sorted(tmp.iterdir()):
-                os.replace(path, out / path.name)
-        else:
-            tmp.rename(out)
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
+    files = {}
+    for i, layer in sorted(compressed.items()):
+        factors = (layer.u_prime, layer.v_prime, layer.s_masked)
+        files |= {f"layer{i}{suffix}": m for suffix, m in zip(FACTORS, factors)}
+    files["report.tsv"] = format_report(report)
+    _publish(Path(args.out), files, FACTORS)
     _say(
         args,
         f"budget={report.budget} used={report.used_cost} "
@@ -178,9 +189,7 @@ def _parse_lambdas(text: str) -> list[float | None]:
 def _write_table(args, lines: list[str], name: str) -> None:
     table = "\n".join(lines) + "\n"
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(table)
+        _publish(Path(args.out), {name: table})
     _say(args, table.rstrip("\n"))
 
 
@@ -216,9 +225,10 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _common(sub, out_required: bool = False) -> None:
+def _common(sub, out_required: bool = False, seed: bool = True) -> None:
     sub.add_argument("--config", metavar="PATH", default=None, help="job configuration file")
-    sub.add_argument("--seed", type=int, default=None, help="override model.seed and pg.seed")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None, help="override model.seed and pg.seed")
     sub.add_argument(
         "--out", metavar="DIR", required=out_required, default=None, help="output directory"
     )
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a matrix file into low-rank plus sparse parts")
     p.add_argument("matrix", help="input matrix file")
-    _common(p, out_required=True)
+    _common(p, out_required=True, seed=False)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("compress", help="two-stage compression of a model directory")

@@ -350,6 +350,22 @@ class TestDecompose:
         assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
         assert "max|W| = 1e+308" in capsys.readouterr().err
 
+    def test_seed_is_not_an_option(self, tmp_path, model_dir, capsys):
+        src = model_dir / "layer0.weight.capm"
+        assert main(["decompose", str(src), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_two_layers_into_one_directory_keep_both_splits(self, tmp_path, model_dir):
+        out = tmp_path / "parts"
+        for i in range(2):
+            src = model_dir / f"layer{i}.weight.capm"
+            assert main(["decompose", str(src), "--out", str(out), "--quiet"]) == 0
+        parts = ("l.capm", "s.capm", "diagnostics.txt")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"layer{i}.weight.{part}" for i in range(2) for part in parts
+        )
+
     def test_unknown_config_key_exit_code(self, tmp_path, model_dir):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("rpca.mu = 3\n")
@@ -405,24 +421,6 @@ class TestCompress:
         for name in ("layer0.uprime.capm", "layer1.vprime.capm", "layer0.smasked.capm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_failed_write_leaves_no_output(self, tmp_path, tiny_config, model_dir, monkeypatch):
-        real, calls = cli.write_matrix, []
-
-        def third_fails(path, w):
-            calls.append(path)
-            if len(calls) == 3:
-                raise OSError("disk full")
-            real(path, w)
-
-        monkeypatch.setattr(cli, "write_matrix", third_fails)
-        before = sorted(tmp_path.iterdir())
-        out = tmp_path / "z"
-        argv = ["compress", str(model_dir), "--config", str(tiny_config), "--out", str(out)]
-        assert main(argv + ["--quiet"]) == 5
-        assert len(calls) == 3
-        assert not out.exists()
-        assert sorted(tmp_path.iterdir()) == before
-
     def test_existing_output_files_replaced(self, tmp_path, tiny_config, model_dir):
         out = tmp_path / "z"
         out.mkdir()
@@ -471,6 +469,119 @@ class TestCompress:
         said = capsys.readouterr().err
         assert "inputs (16, 5)" in said and "targets (16, 6)" in said
         assert not out.exists()
+
+
+SHRINKING = ("12x8,8x6,6x6,6x6", "12x8,8x6,6x6")  # a model of four layers, then of three
+THREE_LAYER_MODEL = [
+    "calib.inputs.capm",
+    "calib.targets.capm",
+    "layer0.weight.capm",
+    "layer1.weight.capm",
+    "layer2.weight.capm",
+]
+
+
+def _shapes_config(tmp_path: Path, shapes: str) -> Path:
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"model.shapes = {shapes}\ncalib.n = 16\n")
+    return cfg
+
+
+def _tree(root: Path) -> dict:
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def _report_layers(out: Path) -> list[str]:
+    table = (out / "report.tsv").read_text().split("\n\n")[0]
+    return [line.split("\t")[0] for line in table.splitlines()[1:]]
+
+
+class TestOutputsAllOrNothing:
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize(
+        "command, failing",
+        [
+            (["gen"], 3),
+            (["decompose", "{model}/layer0.weight.capm"], 3),
+            (["compress", "{model}"], 3),
+            (["sweep-lambda", "--lambdas", "0.01,auto"], 1),
+            (["ablate-threshold"], 1),
+        ],
+        ids=["gen", "decompose", "compress", "sweep-lambda", "ablate-threshold"],
+    )
+    def test_failed_write_leaves_no_output(
+        self, tmp_path, tiny_config, model_dir, monkeypatch, command, failing, existing
+    ):
+        out = tmp_path / "z"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_text("unrelated\n")
+        calls = []
+
+        def fails_part_way(real):
+            def write(path, data, *rest):
+                calls.append(path)
+                if len(calls) == failing:
+                    Path(path).write_bytes(b"partial")
+                    raise OSError("disk full")
+                return real(path, data, *rest)
+
+            return write
+
+        monkeypatch.setattr(cli, "write_matrix", fails_part_way(cli.write_matrix))
+        monkeypatch.setattr(Path, "write_text", fails_part_way(Path.write_text))
+        before = _tree(tmp_path)
+        argv = [arg.format(model=model_dir) for arg in command]
+        argv += ["--config", str(tiny_config), "--out", str(out), "--quiet"]
+        assert main(argv) == 5
+        assert len(calls) == failing
+        assert _tree(tmp_path) == before
+
+    def test_gen_with_fewer_layers_removes_stale_weights(self, tmp_path, capsys):
+        model = tmp_path / "model"
+        for shapes in SHRINKING:
+            cfg = _shapes_config(tmp_path, shapes)
+            assert main(["gen", "--config", str(cfg), "--out", str(model), "--quiet"]) == 0
+        assert sorted(p.name for p in model.iterdir()) == THREE_LAYER_MODEL
+        out = tmp_path / "z"
+        assert main(["compress", str(model), "--config", str(cfg), "--out", str(out)]) == 0
+        assert " dense_loss=0.0 " in capsys.readouterr().out
+        assert _report_layers(out) == ["0", "1", "2"]
+
+    def test_compress_with_fewer_layers_removes_stale_factors(self, tmp_path):
+        out = tmp_path / "z"
+        for shapes in SHRINKING:
+            cfg = _shapes_config(tmp_path, shapes)
+            model = tmp_path / f"model{shapes.count(',') + 1}"
+            assert main(["gen", "--config", str(cfg), "--out", str(model), "--quiet"]) == 0
+            argv = ["compress", str(model), "--config", str(cfg), "--out", str(out), "--quiet"]
+            assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"layer{i}.{kind}.capm" for i in range(3) for kind in ("uprime", "vprime", "smasked")]
+            + ["report.tsv"]
+        )
+        assert _report_layers(out) == ["0", "1", "2"]
+
+    def test_each_command_removes_only_its_own_files(self, tmp_path):
+        # gen and compress share one directory: each removes only the stale
+        # layers of its own kind, and compress keeps the model it read
+        model = tmp_path / "model"
+
+        def model_files():
+            kept = [*model.glob("layer*.weight.capm"), *model.glob("calib.*.capm")]
+            return {p.name: p.read_bytes() for p in kept}
+
+        for shapes in SHRINKING:
+            cfg = _shapes_config(tmp_path, shapes)
+            assert main(["gen", "--config", str(cfg), "--out", str(model), "--quiet"]) == 0
+            written = model_files()
+            argv = ["compress", str(model), "--config", str(cfg), "--out", str(model), "--quiet"]
+            assert main(argv) == 0
+            assert model_files() == written
+        assert sorted(written) == THREE_LAYER_MODEL
+        assert not list(model.glob("layer3.*"))
+        assert _report_layers(model) == ["0", "1", "2"]
 
 
 class TestSweepLambdaCommand:
