@@ -10,7 +10,6 @@ deterministic top-probability selection into factorized storage.
 from .allocator import (
     PolicyGradientConfig,
     RetentionState,
-    finalize_masks,
     init_state,
     log_prob_grad,
     project_to_budget,

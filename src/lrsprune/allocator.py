@@ -8,8 +8,9 @@ gradient
     d log p(m) / d s_k = (m_k - s_k) / (s_k (1 - s_k) + eps)
 
 followed by Euclidean projection onto the cost-weighted budget polytope
-{ s : sum_k c_k s_k <= K, 0 <= s_k <= 1 }. The final hard selection is a
-deterministic greedy sweep in descending-probability order.
+{ s : sum_k c_k s_k <= K, 0 <= s_k <= 1 }. ``greedy_fill`` turns any key,
+the final probabilities among them, into a hard selection under the budget
+by a deterministic sweep in descending-key order.
 """
 
 from __future__ import annotations
@@ -222,8 +223,3 @@ def greedy_fill(keys, costs, budget) -> np.ndarray:
         order = order[n:]
     return mask
 
-
-def finalize_masks(state: RetentionState) -> np.ndarray:
-    """Deterministic hard selection under the budget: ``greedy_fill`` keyed by
-    the retention probabilities. The result always satisfies the hard budget."""
-    return greedy_fill(state.probs, state.costs, state.budget)

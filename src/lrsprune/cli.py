@@ -142,11 +142,11 @@ def cmd_decompose(args) -> int:
 
 
 def _read_model_dir(model_dir: Path) -> tuple[ToyModel, CalibrationSet]:
-    weights = []
-    while (path := model_dir / f"layer{len(weights)}{WEIGHT}").exists():
-        weights.append(read_matrix(path))
-    if not weights:
-        raise FileNotFoundError(f"{path} not found")
+    """The n ``layer<k>`` weights, numbered 0..n-1, and the calibration pair. Reading raises
+    FileNotFoundError at the first number missing, ``layer0`` where there is no weight."""
+    weight_file = re.compile(rf"layer\d+{re.escape(WEIGHT)}")
+    n = sum(bool(weight_file.fullmatch(p.name)) for p in model_dir.glob(f"layer*{WEIGHT}"))
+    weights = [read_matrix(model_dir / f"layer{k}{WEIGHT}") for k in range(max(n, 1))]
     inputs = read_matrix(model_dir / INPUTS)
     targets = read_matrix(model_dir / TARGETS)
     return ToyModel(layers=weights), CalibrationSet(inputs=inputs, targets=targets)

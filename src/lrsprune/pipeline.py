@@ -4,11 +4,12 @@ Stage 1 splits every layer into low-rank plus sparse parts and
 enumerates the prunable candidates. Stage 2 is one loop over budget groups
 of layers, the same for every selection: each group gets the budget
 ``floor(budget_fraction * dense parameter count of the group)``, a chooser
-picks its mask (learned retention probabilities frozen into a hard
-top-probability selection, or a magnitude fill), and the group is rebuilt
-from it for the groups after it. Global mode has one group of every layer,
-sequential mode one group per layer in order. Reports are built from the
-masks; the survivors are factorized only where the factors are returned.
+returns a key, one score per candidate (learned retention probabilities, or
+magnitudes), one greedy fill by descending key turns it into the group's
+mask, and the group is rebuilt from that mask for the groups after it.
+Global mode has one group of every layer, sequential mode one group per
+layer in order. Reports are built from the masks; the survivors are
+factorized only where the factors are returned.
 
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
 selection and the magnitude-threshold baselines all search inside them, in
@@ -28,7 +29,6 @@ import numpy as np
 
 from .allocator import (
     PolicyGradientConfig,
-    finalize_masks,
     greedy_fill,
     init_state,
     reinforce_step,
@@ -199,38 +199,38 @@ class _MaskedLossEvaluator:
         return self._loss
 
 
-def _learn_masks(evaluator, budget, pg, rng) -> np.ndarray:
-    """Learned chooser: sample, score, reinforce, finalize."""
+def _learned_key(evaluator, budget, pg, rng) -> np.ndarray:
+    """Learned key: the retention probabilities after sampling, scoring, reinforcing."""
     state = init_state(evaluator.costs, budget)
     with np.errstate(over="ignore", invalid="ignore"):  # reinforce_step rejects such a loss
         for _ in range(pg.iterations * evaluator.calib.size):
             bits = sample_mask(state, rng)
             reinforce_step(state, bits, evaluator.loss(bits), pg)
-    return finalize_masks(state)
+    return state.probs
 
 
 def _learner(job: CompressionJob):
     """The learned chooser of a job; its generator runs on across groups."""
-    return partial(_learn_masks, pg=job.pg_config, rng=np.random.default_rng(job.pg_config.seed))
+    return partial(_learned_key, pg=job.pg_config, rng=np.random.default_rng(job.pg_config.seed))
 
 
-def _magnitude_fill(evaluator, budget) -> np.ndarray:
-    """Threshold chooser: ``greedy_fill`` by descending magnitude, no learning."""
-    mags = np.concatenate([evaluator.pools[i].magnitudes for i in evaluator.slices])
-    return greedy_fill(mags, evaluator.costs, budget)
+def _magnitude_key(evaluator, budget) -> np.ndarray:
+    """Threshold key: the candidates' magnitudes, no learning."""
+    return np.concatenate([evaluator.pools[i].magnitudes for i in evaluator.slices])
 
 
 def _select(job: CompressionJob, stage1, choose):
-    """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> mask``.
+    """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> key``.
 
     Layers are chosen in budget groups, in order: one group of every layer
     in global mode, one group per layer in sequential mode. Each group has
     its own budget; one below the group's cheapest candidate keeps nothing,
     and is too small if the group has any candidate, and one that covers
     its pools' total cost keeps all of it. Neither calls the chooser, so
-    the learner scores no mask there. Each group is scored with the layers
-    of earlier groups rebuilt from their final masks; the report's budget
-    is the sum over groups.
+    the learner scores no mask there. Otherwise the mask is the one
+    ``greedy_fill`` of the chooser's key under the group's costs and budget.
+    Each group is scored with the layers of earlier groups rebuilt from
+    their final masks; the report's budget is the sum over groups.
 
     Returns:
         (CompressionReport, dict layer index -> mask)
@@ -252,7 +252,7 @@ def _select(job: CompressionJob, stage1, choose):
         elif group_budget >= costs.sum():
             mask[:] = 1
         else:
-            mask = choose(evaluator, group_budget)
+            mask = greedy_fill(choose(evaluator, group_budget), costs, group_budget)
         for i, sl in evaluator.slices.items():
             masks[i] = mask[sl]
             weights[i] = reconstruct(pools[i], masks[i])
@@ -312,7 +312,7 @@ def heuristic_threshold_baseline(job: CompressionJob):
     sparse entries) by the same greedy fill as the learned selection's final
     pass.
     """
-    return _factorized(job, _magnitude_fill)
+    return _factorized(job, _magnitude_key)
 
 
 def _family_pools(pools) -> dict[str, dict]:
@@ -338,8 +338,8 @@ def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]
     threshold over the triplet-only and entry-only pools of the same Stage 1.
     """
     columns, pools, *losses = _stage1(job)
-    rows = [("learned", pools, _learner(job)), ("threshold", pools, _magnitude_fill)]
-    rows += [(name, family, _magnitude_fill) for name, family in _family_pools(pools).items()]
+    rows = [("learned", pools, _learner(job)), ("threshold", pools, _magnitude_key)]
+    rows += [(name, family, _magnitude_key) for name, family in _family_pools(pools).items()]
     return [(name, _select(job, (columns, p, *losses), choose)[0]) for name, p, choose in rows]
 
 

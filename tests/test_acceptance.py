@@ -27,7 +27,7 @@ from lrsprune import (
     run,
 )
 from lrsprune.cli import main
-from lrsprune.pipeline import _budget, _family_pools, _learner, _magnitude_fill, _select, _stage1
+from lrsprune.pipeline import _budget, _family_pools, _learner, _magnitude_key, _select, _stage1
 from references import (
     brute_force_best_mask,
     default_toy_model,
@@ -165,7 +165,7 @@ def threshold_medians(fraction: float) -> dict:
     # already the 10-seed median; the family rows select from family pools
     rows = {"threshold": pools, **_family_pools(pools)}
     medians = {
-        row: _select(base, (columns, row_pools, *losses), _magnitude_fill)[0].final_loss
+        row: _select(base, (columns, row_pools, *losses), _magnitude_key)[0].final_loss
         for row, row_pools in rows.items()
     }
     return {

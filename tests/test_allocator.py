@@ -13,7 +13,6 @@ from lrsprune.allocator import (
     EPSILON,
     PolicyGradientConfig,
     RetentionState,
-    finalize_masks,
     greedy_fill,
     init_state,
     log_prob_grad,
@@ -534,36 +533,45 @@ class TestGreedyFill:
 
 
 class TestFinalizeMasks:
+    """The final hard selection of a learned state: ``greedy_fill`` keyed by
+    its probabilities, under its costs and budget."""
+
     def test_greedy_skips_unaffordable(self):
         state = RetentionState(
             probs=np.array([0.9, 0.8, 0.7]), costs=np.array([4.0, 1.0, 1.0]), budget=5.0
         )
-        np.testing.assert_array_equal(finalize_masks(state), [1, 1, 0])
+        mask = greedy_fill(state.probs, state.costs, state.budget)
+        np.testing.assert_array_equal(mask, [1, 1, 0])
 
     def test_full_budget_keeps_everything(self):
         state = RetentionState(
             probs=np.array([0.2, 0.9, 0.5]), costs=np.array([2.0, 3.0, 1.0]), budget=6.0
         )
-        np.testing.assert_array_equal(finalize_masks(state), [1, 1, 1])
+        mask = greedy_fill(state.probs, state.costs, state.budget)
+        np.testing.assert_array_equal(mask, [1, 1, 1])
 
     def test_zero_budget_keeps_nothing(self):
         state = RetentionState(
             probs=np.array([0.9, 0.9]), costs=np.array([1.0, 1.0]), budget=0.0
         )
-        np.testing.assert_array_equal(finalize_masks(state), [0, 0])
+        mask = greedy_fill(state.probs, state.costs, state.budget)
+        np.testing.assert_array_equal(mask, [0, 0])
 
     def test_ties_keep_pool_order(self):
         state = RetentionState(
             probs=np.array([0.5, 0.5, 0.5]), costs=np.array([1.0, 1.0, 1.0]), budget=2.0
         )
-        np.testing.assert_array_equal(finalize_masks(state), [1, 1, 0])
+        mask = greedy_fill(state.probs, state.costs, state.budget)
+        np.testing.assert_array_equal(mask, [1, 1, 0])
 
     def test_selection_invariant_to_probability_scaling(self, rng):
         probs = rng.uniform(0.05, 0.95, 10)
         costs = rng.uniform(1.0, 4.0, 10)
         a = RetentionState(probs=probs, costs=costs, budget=9.0)
         b = RetentionState(probs=0.5 * probs, costs=costs, budget=9.0)
-        np.testing.assert_array_equal(finalize_masks(a), finalize_masks(b))
+        np.testing.assert_array_equal(
+            greedy_fill(a.probs, a.costs, a.budget), greedy_fill(b.probs, b.costs, b.budget)
+        )
 
     @given(
         probs=hnp.arrays(
@@ -578,9 +586,9 @@ class TestFinalizeMasks:
         costs = 1.0 + np.arange(n, dtype=np.float64) % 4
         budget = float(frac * costs.sum())
         state = RetentionState(probs=probs, costs=costs, budget=budget)
-        mask = finalize_masks(state)
+        mask = greedy_fill(state.probs, state.costs, state.budget)
         assert set(np.unique(mask)) <= {0, 1}
-        assert float(costs @ mask) <= budget + 1e-12
+        assert float(costs @ mask) <= budget
 
 
 class TestExactExpectedLossGrad:

@@ -452,6 +452,17 @@ class TestCompress:
     def test_missing_model_dir_exit_code(self, tmp_path):
         assert main(["compress", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 5
 
+    def test_gap_in_layer_numbers_exit_code(self, tmp_path, capsys):
+        # a three-layer model without its middle layer is not a one-layer model
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("model.shapes = 12x8,8x8,8x8\n")
+        model, out = tmp_path / "model", tmp_path / "o"
+        assert main(["gen", "--config", str(cfg), "--out", str(model), "--quiet"]) == 0
+        (model / "layer1.weight.capm").unlink()
+        assert main(["compress", str(model), "--config", str(cfg), "--out", str(out)]) == 5
+        assert "layer1.weight.capm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_calibration_exit_code(self, tmp_path, tiny_config, model_dir, capsys):
         write_matrix(model_dir / "calib.inputs.capm", np.zeros((0, 12)))
         write_matrix(model_dir / "calib.targets.capm", np.zeros((0, 6)))

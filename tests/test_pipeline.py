@@ -25,7 +25,7 @@ from lrsprune.pipeline import (
     _MaskedLossEvaluator,
     _budget,
     _family_pools,
-    _magnitude_fill,
+    _magnitude_key,
     _select,
     _stage1,
     ablate_threshold,
@@ -332,7 +332,7 @@ class TestThresholdBaselineReference:
         # family, and the reference keeps nothing of the other family
         job = default_job(budget_fraction=fraction)
         stage1 = _stage1(job)
-        report, masks = _select(job, family_stage1(stage1, components), _magnitude_fill)
+        report, masks = _select(job, family_stage1(stage1, components), _magnitude_key)
         expected, pool_cost = reference_threshold_masks(job, components)
         assert sorted(masks) == sorted(expected)
         for i, mask in expected.items():
@@ -549,7 +549,7 @@ class TestAblateThreshold:
         learned, _ = run(job)
         stage1 = _stage1(job)
         expected = [("learned", learned), ("threshold", heuristic_threshold_baseline(job)[0])] + [
-            (family, _select(job, family_stage1(stage1, family), _magnitude_fill)[0])
+            (family, _select(job, family_stage1(stage1, family), _magnitude_key)[0])
             for family in ("low_rank_only", "sparse_only")
         ]
         rows = ablate_threshold(job)
@@ -613,8 +613,52 @@ class TestSelect:
         monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
         monkeypatch.setattr(pipeline, "_task_loss", checking)
         job = default_job(calib_n=8, budget_fraction=0.15, mode=mode)
-        report, _ = _select(job, _stage1(job), _magnitude_fill)
+        report, _ = _select(job, _stage1(job), _magnitude_key)
         assert len(evaluators) == (1 if mode == "global" else len(report.layers))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_chooser_returns_a_key_that_one_fill_turns_into_a_mask(self, mode, monkeypatch):
+        job = default_job(budget_fraction=0.15, mode=mode)
+        events = []  # ("group", evaluator), ("key", key), ("fill", keys, costs, budget)
+
+        class Recording(_MaskedLossEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                events.append(("group", self))
+
+        def recording(choose):
+            def chooser(*args, **kwargs):
+                key = choose(*args, **kwargs)
+                events.append(("key", key))
+                return key
+
+            return chooser
+
+        def fill(keys, costs, budget, greedy_fill=pipeline.greedy_fill):
+            events.append(("fill", keys, costs, budget))
+            return greedy_fill(keys, costs, budget)
+
+        for name in ("_learned_key", "_magnitude_key"):
+            monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
+        monkeypatch.setattr(pipeline, "greedy_fill", fill)
+        ablate_threshold(job)
+        starts = [k for k, event in enumerate(events) if event[0] == "group"] + [len(events)]
+        chosen = 0
+        for start, end in zip(starts, starts[1:]):
+            evaluator, calls = events[start][1], events[start + 1 : end]
+            costs, budget = evaluator.costs, _budget(job, list(evaluator.slices))
+            if costs.size == 0 or not costs.min() <= budget < costs.sum():
+                assert calls == []  # too small or fully covered: neither is called
+                continue
+            (name, key), (fill_name, keys, fill_costs, fill_budget) = calls
+            assert (name, fill_name) == ("key", "fill")
+            assert isinstance(key, np.ndarray) and key.dtype == np.float64
+            assert key.shape == costs.shape and keys is key
+            assert fill_costs is evaluator.costs and fill_budget == budget
+            chosen += 1
+        groups = 1 if mode == "global" else len(job.model.layers)
+        assert chosen >= groups  # the learned row has a chooser call per group at least
 
 
 class TestFamilyPools:
