@@ -38,7 +38,6 @@ from .pipeline import (
     CompressionJob,
     CompressionReport,
     LayerSummary,
-    SweepRow,
     ablate_threshold,
     default_job,
     heuristic_threshold_baseline,

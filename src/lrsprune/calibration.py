@@ -170,18 +170,24 @@ def random_orthonormal(
     flat value sqrt(rank / dim).  At these matrix sizes raw gaussian
     draws cross that line often enough to matter, and deterministic
     bases such as cosines are worse still: they concentrate at boundary
-    coordinates.  Pass ``spread_cap=None`` to skip the rejection step.
+    coordinates.  If all 200 draws miss the cap, as one column of a tall
+    layer may, the first with the smallest largest row norm is returned.
+    Pass ``spread_cap=None`` to skip the rejection step.
     """
     if not 1 <= rank <= dim:
         raise ValueError("rank must lie in [1, dim]")
     bound = None if spread_cap is None else spread_cap * np.sqrt(rank / dim)
+    best, best_spread = None, np.inf
     for _ in range(200):
         q, r = np.linalg.qr(rng.standard_normal((dim, rank)))
         # fix signs so the factor is unique given the draw
         q = q * np.sign(np.diag(r))
-        if bound is None or np.max(np.linalg.norm(q, axis=1)) <= bound:
+        spread = np.max(np.linalg.norm(q, axis=1))
+        if bound is None or spread <= bound:
             return q
-    raise ValueError(f"no draw met spread cap {spread_cap} for {dim}x{rank}")
+        if spread < best_spread:
+            best, best_spread = q, spread
+    return best
 
 
 def planted_spectrum_matrix(

@@ -24,8 +24,11 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .calibration import CalibrationSet, ToyModel
 from .matio import (
+    KEYS,
     ConfigError,
     JobConfig,
     MatrixFormatError,
@@ -171,16 +174,13 @@ def cmd_compress(args) -> int:
 
 
 def _parse_lambdas(text: str) -> list[float | None]:
-    out: list[float | None] = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "auto":
-            out.append(None)
-        elif token:
-            try:
-                out.append(float(token))
-            except ValueError as exc:
-                raise ConfigError(f"bad lambda {token!r}") from exc
+    """Each non-empty comma-separated value, read as the ``rpca.lambda`` key is."""
+    parse, out = KEYS["rpca.lambda"][2], []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            out.append(parse(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad lambda {token!r}") from exc
     if not out:
         raise ConfigError("need at least one lambda")
     return out
@@ -194,15 +194,14 @@ def _write_table(args, lines: list[str], name: str) -> None:
 
 
 def cmd_sweep_lambda(args) -> int:
-    config = _load_config(args)
-    lambdas = _parse_lambdas(args.lambdas)
-    rows = sweep_lambda(job_from_config(config), lambdas)
+    config, lambdas = _load_config(args), _parse_lambdas(args.lambdas)
     lines = ["lambda\trank_l\tsparsity_s\tfinal_loss\ttotal_nnz_s"]
-    for row in rows:
-        label = "auto" if row.lam is None else _fmt(row.lam)
+    for lam, report in sweep_lambda(job_from_config(config), lambdas):
+        label, layers = "auto" if lam is None else _fmt(lam), report.layers
         lines.append(
-            f"{label}\t{_fmt(row.mean_rank_l)}\t{_fmt(row.mean_sparsity_s)}\t"
-            f"{_fmt(row.final_loss)}\t{row.total_nnz_s}"
+            f"{label}\t{_fmt(np.mean([ls.rank_l for ls in layers]))}\t"
+            f"{_fmt(np.mean([ls.sparsity_s for ls in layers]))}\t{_fmt(report.final_loss)}\t"
+            f"{sum(ls.nnz_s for ls in layers)}"
         )
     _write_table(args, lines, "sweep.tsv")
     return 0

@@ -99,15 +99,6 @@ class CompressionReport:
     mode: str = "global"
 
 
-@dataclass
-class SweepRow:
-    lam: float | None  # None = per-layer default weight
-    mean_rank_l: float
-    mean_sparsity_s: float
-    total_nnz_s: int
-    final_loss: float
-
-
 def _budget(job: CompressionJob, layers) -> int:
     """floor(budget_fraction * dense parameter count of the given layers)."""
     return int(np.floor(job.budget_fraction * sum(job.model.layers[i].size for i in layers)))
@@ -343,37 +334,26 @@ def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]
     return [(name, _select(job, (columns, p, *losses), choose)[0]) for name, p, choose in rows]
 
 
-def sweep_lambda(job: CompressionJob, lambdas) -> list[SweepRow]:
+def sweep_lambda(job: CompressionJob, lambdas) -> list[tuple[float | None, CompressionReport]]:
     """Stage 1 and the learned selection per sparsity weight; None selects the default.
 
-    Every weight is checked by ``RpcaConfig`` before the first run. Each
-    row aggregates the Stage 1 diagnostics over the layers and
-    carries the post-selection task loss; no layer is factorized.
+    Every weight is checked by ``RpcaConfig`` before the first run. Rows are
+    (weight, report) in the order given; no layer is factorized.
     """
     jobs = [replace(job, rpca_config=replace(job.rpca_config, lam=lam)) for lam in lambdas]
     if not jobs:
         raise ValueError("need at least one sparsity weight")
-    rows = []
-    for weighted in jobs:
-        report, _ = _select(weighted, _stage1(weighted), _learner(weighted))
-        rows.append(
-            SweepRow(
-                lam=weighted.rpca_config.lam,
-                mean_rank_l=float(np.mean([ls.rank_l for ls in report.layers])),
-                mean_sparsity_s=float(np.mean([ls.sparsity_s for ls in report.layers])),
-                total_nnz_s=int(sum(ls.nnz_s for ls in report.layers)),
-                final_loss=report.final_loss,
-            )
-        )
-    return rows
+    return [(j.rpca_config.lam, _select(j, _stage1(j), _learner(j))[0]) for j in jobs]
 
 
 def job_from_config(
     config: JobConfig, model: ToyModel | None = None, calib: CalibrationSet | None = None
 ) -> CompressionJob:
     """The job a parsed configuration describes, on ``model`` and its ``calib``
-    if given; otherwise a planted model of ``config.shapes`` and its
+    if both are given; if neither is, a planted model of ``config.shapes`` and its
     calibration set are drawn from one generator seeded with ``config.model_seed``."""
+    if (model is None) != (calib is None):
+        raise ValueError("job_from_config takes model and calib together, or neither")
     if model is None:
         rng = np.random.default_rng(config.model_seed)
         model = planted_model(config.shapes, rng)

@@ -391,6 +391,36 @@ class TestRandomOrthonormal:
         b = random_orthonormal(12, 2, np.random.default_rng(5))
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_column_of_tall_layer(self, seed):
+        # the cap 2/sqrt(128) is rarely met by one random unit vector, so the
+        # least spread of the draws is returned instead of an error
+        q = random_orthonormal(128, 1, np.random.default_rng(seed))
+        assert q.shape == (128, 1)
+        np.testing.assert_allclose(np.linalg.norm(q), 1.0, atol=1e-12)
+        again = random_orthonormal(128, 1, np.random.default_rng(seed))
+        assert q.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_thin_layer_stack_plants(self, seed):
+        # the 128x16 layer plants rank min(128, 16) // 12 = 1, so its left
+        # factor is one 128-row column that rarely meets the spread cap
+        model = planted_model([(128, 16), (16, 8)], np.random.default_rng(seed))
+        assert [w.shape for w in model.layers] == [(128, 16), (16, 8)]
+        assert all(np.isfinite(w).all() for w in model.layers)
+
+    def test_fallback_is_least_spread_draw(self):
+        seed, dim = 0, 128
+        rng = np.random.default_rng(seed)
+        draws = []
+        for _ in range(200):
+            q, r = np.linalg.qr(rng.standard_normal((dim, 1)))
+            draws.append(q * np.sign(np.diag(r)))
+        spreads = [np.max(np.abs(q)) for q in draws]
+        assert min(spreads) > 2.0 / np.sqrt(dim)  # no draw meets the cap
+        got = random_orthonormal(dim, 1, np.random.default_rng(seed))
+        assert got.tobytes() == draws[int(np.argmin(spreads))].tobytes()
+
     def test_rank_bounds(self, rng):
         with pytest.raises(ValueError):
             random_orthonormal(4, 0, rng)

@@ -22,6 +22,7 @@ from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     MODES,
     CompressionJob,
+    CompressionReport,
     _MaskedLossEvaluator,
     _budget,
     _family_pools,
@@ -125,6 +126,14 @@ class TestJobFromConfig:
         built = job_from_config(parse_job_config("mode = sequential\n"), job.model, job.calib)
         assert built.model is job.model and built.calib is job.calib
         assert built.mode == "sequential"
+
+    def test_model_without_calibration_rejected(self, quick_run):
+        with pytest.raises(ValueError, match="model and calib together"):
+            job_from_config(JobConfig(), quick_run[0].model)
+
+    def test_calibration_without_model_rejected(self, quick_run):
+        with pytest.raises(ValueError, match="model and calib together"):
+            job_from_config(JobConfig(), calib=quick_run[0].calib)
 
 
 class TestRunReport:
@@ -688,6 +697,16 @@ class TestFamilyPools:
 
 
 class TestSweepLambda:
+    @staticmethod
+    def _means(report):
+        """Mean Stage 1 rank and sparsity over the layers, and the total nonzeros."""
+        layers = report.layers
+        return (
+            np.mean([ls.rank_l for ls in layers]),
+            np.mean([ls.sparsity_s for ls in layers]),
+            sum(ls.nnz_s for ls in layers),
+        )
+
     def test_default_weight_single_row_matches_run(self, monkeypatch):
         job = default_job(calib_n=32)
         factorized = []
@@ -697,27 +716,33 @@ class TestSweepLambda:
         monkeypatch.undo()
         report, _ = run(job)
         assert len(rows) == 1
-        assert rows[0].lam is None
-        assert rows[0].final_loss == report.final_loss
-        assert rows[0].mean_rank_l == pytest.approx(
-            np.mean([ls.rank_l for ls in report.layers])
-        )
-        assert rows[0].total_nnz_s == sum(ls.nnz_s for ls in report.layers)
+        lam, swept = rows[0]
+        assert lam is None
+        assert isinstance(swept, CompressionReport)
+        assert swept == report
+
+    def test_rows_in_given_order(self):
+        job = default_job(calib_n=32)
+        rows = sweep_lambda(job, [1.0, None, 0.01])
+        assert [lam for lam, _ in rows] == [1.0, None, 0.01]
+        for lam, report in rows:
+            want = sweep_lambda(job, [lam])[0][1]
+            assert report == want
 
     def test_sparse_mass_shrinks_with_weight(self):
         job = default_job(calib_n=32)
         rows = sweep_lambda(job, [0.01, 0.1, 1.0])
-        nnz = [r.total_nnz_s for r in rows]
+        nnz = [self._means(report)[2] for _, report in rows]
         assert nnz == sorted(nnz, reverse=True)
-        sparsity = [r.mean_sparsity_s for r in rows]
+        sparsity = [self._means(report)[1] for _, report in rows]
         assert sparsity == sorted(sparsity)
 
     def test_extreme_weight_forces_dense_low_rank(self):
         job = single_layer_job(0, budget_fraction=0.5, calib_n=32)
-        auto_row = sweep_lambda(job, [None])[0]
-        extreme_row = sweep_lambda(job, [10.0])[0]
-        assert extreme_row.mean_sparsity_s >= 0.99
-        assert extreme_row.mean_rank_l >= auto_row.mean_rank_l
+        auto_rank, _, _ = self._means(sweep_lambda(job, [None])[0][1])
+        extreme_rank, extreme_sparsity, _ = self._means(sweep_lambda(job, [10.0])[0][1])
+        assert extreme_sparsity >= 0.99
+        assert extreme_rank >= auto_rank
 
     def test_empty_list_rejected(self):
         job = default_job(calib_n=32)
