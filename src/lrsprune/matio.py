@@ -8,7 +8,8 @@ Matrix container layout, all little-endian:
     bytes 16..23  cols, u64
     bytes 24..    rows * cols float64 payload, row-major
 
-Writing then reading reproduces the payload bit for bit.
+Writing then reading reproduces the payload bit for bit. Readers reject bad magic,
+unknown versions, truncated payloads, shapes numpy cannot build and non-finite values.
 
 Job configuration files are flat ``key = value`` lines; ``#`` starts a
 comment, blank lines are skipped, unknown and repeated keys are rejected.
@@ -68,7 +69,10 @@ def read_matrix(path) -> np.ndarray:
             f"{path}: payload length {len(data) - _HEADER.size} does not match "
             f"{rows}x{cols} float64"
         )
-    m = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
+    try:
+        m = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
+    except ValueError as exc:  # numpy cannot build the shape, e.g. 2**62 x 0
+        raise MatrixFormatError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
     if not np.all(np.isfinite(m)):
         raise MatrixFormatError(f"{path}: non-finite entries")
     return np.ascontiguousarray(m, dtype=np.float64)
@@ -115,8 +119,6 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         if m < 1 or n < 1:
             raise ConfigError(f"model.shapes: dimensions must be positive, got {token!r}")
         shapes.append((m, n))
-    if not shapes:
-        raise ConfigError("model.shapes: must name at least one layer")
     return shapes
 
 

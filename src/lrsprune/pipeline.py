@@ -156,7 +156,7 @@ class _MaskedLossEvaluator:
             values += [np.zeros(pool.n_triplets), pool.entry_values]
         self._pos_at, self._pos_values = np.concatenate(offsets), np.concatenate(values)
         self._at, self._under = self._pos_at[:0], self._buffer[:0]  # kept positions, values under
-        self._keys, self._triplet_keys = dict.fromkeys(group), dict.fromkeys(group)
+        self._keys = dict.fromkeys(group)  # each layer's last mask bytes; its first t are triplets
         self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
         self._loss = None
 
@@ -167,17 +167,16 @@ class _MaskedLossEvaluator:
         flags, first = bits.view(np.bool_), None  # nonzero on bool is faster than on int8
         for i, sl, t, us, vt in self._layers:
             key = bits[sl].tobytes()
-            if key == self._keys[i]:
+            last = self._keys[i]
+            if key == last:
                 continue
             if first is None:
                 first = i
                 self._buffer[self._at] = self._under
             self._keys[i] = key
-            triplets = key[: t * bits.itemsize]
-            if triplets != self._triplet_keys[i]:
+            if last is None or key[:t] != last[:t]:
                 keep = flags[sl.start : sl.start + t]  # compress: [:, keep] and [keep], faster
                 np.matmul(us.compress(keep, 1), vt.compress(keep, 0), out=self.weights[i])
-                self._triplet_keys[i] = triplets
         if first is not None:
             kept = flags.nonzero()[0]
             self._at = at = self._pos_at[kept]

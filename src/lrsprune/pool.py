@@ -77,10 +77,8 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
 
     t = int(np.count_nonzero(f.sigma > RANK_CUTOFF * f.sigma[0])) if f.sigma.size else 0
 
-    rr, cc = np.nonzero(s)
-    vals = s[rr, cc]
-    order = np.lexsort((cc, rr, -np.abs(vals)))
-    rr, cc, vals = rr[order], cc[order], vals[order]
+    flat = np.flatnonzero(s)  # row-major, so a stable sort keeps ties in (row, col) order
+    flat = flat[np.argsort(-np.abs(s.flat[flat]), kind="stable")]
 
     return CandidatePool(
         layer_id=layer_id,
@@ -89,8 +87,8 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
         u=f.u[:, :t],
         sigma=f.sigma[:t],
         vt=np.ascontiguousarray(f.v[:, :t].T),
-        entry_values=np.ascontiguousarray(vals),
-        entry_flat=rr * cols + cc,
+        entry_values=s.flat[flat],
+        entry_flat=flat,
     )
 
 

@@ -347,6 +347,10 @@ class TestPlantedSpectrumMatrix:
         with pytest.raises(ValueError):
             planted_spectrum_matrix(8, 6, 1, rng, decay=0.0)
 
+    def test_rejects_all_outliers(self, rng):
+        with pytest.raises(ValueError, match=r"outlier_frac must lie in \[0, 1\)"):
+            planted_spectrum_matrix(8, 6, 1, rng, outlier_frac=1.0)
+
 
 class TestHeavyMatrix:
     @pytest.mark.parametrize("shape", [(128, 128), (64, 96), (96, 64)])

@@ -1,5 +1,6 @@
 """File formats, job configuration parsing, and the command line surface."""
 
+import struct
 import warnings
 from pathlib import Path
 
@@ -200,6 +201,10 @@ class TestJobConfig:
             parse_job_config("model.shapes = 8by6")
         with pytest.raises(ConfigError, match="^model.seed: "):
             parse_job_config("model.seed = -1")
+        with pytest.raises(ConfigError, match="^model.shapes: bad shape '8xa': invalid literal"):
+            parse_job_config("model.shapes = 8xa")
+        with pytest.raises(ConfigError, match="^calib.n: cannot parse 'abc'$"):
+            parse_job_config("calib.n = abc")
 
     @pytest.mark.parametrize(
         "line, section",
@@ -279,6 +284,16 @@ class TestGen:
         assert "model.shapes: dimensions must be positive, got '8x0'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_job_exit_code(self, tmp_path, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(pipeline, "planted_model", too_large)
+        out = tmp_path / "model"
+        assert main(["gen", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, flags, named",
         [
@@ -318,6 +333,18 @@ class TestDecompose:
         data[:4] = b"XXXX"
         bad.write_bytes(bytes(data))
         assert main(["decompose", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["export", "decompose"])
+    def test_unshapeable_header_exit_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "huge.capm"
+        bad.write_bytes(b"CAPM" + struct.pack("<IQQ", 1, 2**62, 0))  # payload length 0 matches
+        out = tmp_path / "o"
+        flags = ["--out", str(out)] if command == "decompose" else []
+        assert main([command, str(bad)] + flags) == 3
+        said = capsys.readouterr()
+        assert said.err.startswith(f"format error: {bad}: cannot shape {2**62}x0")
+        assert said.out == ""
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.capm"
