@@ -23,26 +23,20 @@ import numpy as np
 PROB_CLIP = 1e-6  # gradient clearance from the hard 0/1 boundary; sampling is exact
 INITIAL_PROB = 0.5  # every candidate's retention probability before the projection
 EPSILON = 1e-8  # the eps of the score-function gradient's denominator
+LEARNING_RATE = 0.05  # step along the advantage-weighted gradient, before the projection
+BASELINE_BETA = 0.9  # weight of the old baseline in its moving average
+WINDOW = 5  # recent losses averaged into the baseline signal
 
 
 @dataclass
 class PolicyGradientConfig:
-    learning_rate: float = 0.05
-    baseline_beta: float = 0.9
     # a budget group takes iterations * calib.n learning steps, each scoring every record
     iterations: int = 3
-    window: int = 5  # recent losses averaged into the baseline signal
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 <= self.baseline_beta < 1.0:
-            raise ValueError("baseline_beta must lie in [0, 1)")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -97,9 +91,7 @@ def log_prob_grad(mask, probs, epsilon: float) -> np.ndarray:
     return np.divide(np.subtract(mask, probs, dtype=np.float64), den, out=den)
 
 
-def reinforce_step(
-    state: RetentionState, bits, loss: float, config: PolicyGradientConfig
-) -> RetentionState:
+def reinforce_step(state: RetentionState, bits, loss: float) -> RetentionState:
     """One update from one scored mask.
 
     Fold the loss into the moving baseline, move every probability along the
@@ -112,12 +104,12 @@ def reinforce_step(
         raise ValueError(f"task loss must be finite, got {loss}")
     probs = state.probs
     state.recent_losses.append(loss)
-    del state.recent_losses[: -config.window]
+    del state.recent_losses[:-WINDOW]
     signal = sum(state.recent_losses) / len(state.recent_losses)
-    state.baseline = config.baseline_beta * state.baseline + (1.0 - config.baseline_beta) * signal
+    state.baseline = BASELINE_BETA * state.baseline + (1.0 - BASELINE_BETA) * signal
     advantage = loss - state.baseline
     step = log_prob_grad(bits, np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP), EPSILON)
-    step *= config.learning_rate * advantage
+    step *= LEARNING_RATE * advantage
     np.subtract(probs, step, out=step)  # probs - lr * advantage * grad, in the gradient's array
     state.probs = _project(step, state.costs, state.costs_sq, state.budget)
     return state

@@ -9,20 +9,20 @@ Matrix container layout, all little-endian:
     bytes 24..    rows * cols float64 payload, row-major
 
 Writing then reading reproduces the payload bit for bit. Readers reject bad magic,
-unknown versions, truncated payloads, shapes numpy cannot build and non-finite values.
+unknown versions, truncated payloads, non-finite values and empty shapes whose
+other dimension exceeds 2**20.
 
 Job configuration files are flat ``key = value`` lines; ``#`` starts a
 comment, blank lines are skipped, unknown and repeated keys are rejected.
 Each key is one row of ``KEYS``; a key left out keeps its field's default
 in ``JobConfig()``, the stock job. The config objects built from the
 ``rpca.*`` and ``pg.*`` values range-check them, and the parser the others;
-``CompressionJob`` and ``gen_calibration`` check ``budget.fraction``, ``mode``,
-``calib.n`` and ``calib.noise`` again for jobs built without a file.
+``CompressionJob`` and ``gen_calibration`` check ``budget.fraction``, ``mode``
+and ``calib.n`` again for jobs built without a file.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +36,7 @@ from .rpca import RpcaConfig, as_matrix
 MAGIC = b"CAPM"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
+MAX_EMPTY_DIM = 1 << 20  # an empty matrix's other dimension; a payload bounds the rest
 
 
 class MatrixFormatError(Exception):
@@ -69,10 +70,9 @@ def read_matrix(path) -> np.ndarray:
             f"{path}: payload length {len(data) - _HEADER.size} does not match "
             f"{rows}x{cols} float64"
         )
-    try:
-        m = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    except ValueError as exc:  # numpy cannot build the shape, e.g. 2**62 x 0
-        raise MatrixFormatError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
+    if 0 in (rows, cols) and max(rows, cols) > MAX_EMPTY_DIM:
+        raise MatrixFormatError(f"{path}: empty {rows}x{cols} has a dimension above {MAX_EMPTY_DIM}")
+    m = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise MatrixFormatError(f"{path}: non-finite entries")
     return np.ascontiguousarray(m, dtype=np.float64)
@@ -98,7 +98,6 @@ class JobConfig:
     model_seed: int = 0
     shapes: list[tuple[int, int]] = field(default_factory=lambda: [(32, 24), (24, 24), (24, 16)])
     calib_n: int = 128
-    calib_noise: float = 0.0
     rpca: RpcaConfig = field(default_factory=RpcaConfig)
     pg: PolicyGradientConfig = field(default_factory=PolicyGradientConfig)
     budget_fraction: float = 0.5
@@ -127,14 +126,10 @@ KEYS = {
     "model.seed": ("job", "model_seed", int),
     "model.shapes": ("job", "shapes", _parse_shapes),
     "calib.n": ("job", "calib_n", int),
-    "calib.noise": ("job", "calib_noise", float),
     "rpca.lambda": ("rpca", "lam", lambda v: None if v == "auto" else float(v)),
     "rpca.tol": ("rpca", "tol", float),
     "rpca.max_iters": ("rpca", "max_iters", int),
-    "pg.lr": ("pg", "learning_rate", float),
-    "pg.beta": ("pg", "baseline_beta", float),
     "pg.iterations": ("pg", "iterations", int),
-    "pg.window": ("pg", "window", int),
     "pg.seed": ("pg", "seed", int),
     "budget.fraction": ("job", "budget_fraction", float),
     "mode": ("job", "mode", str),
@@ -186,8 +181,6 @@ def parse_job_config(text: str) -> JobConfig:
         raise ConfigError(f"mode: expected {' or '.join(MODES)}, got {config.mode!r}")
     if not 0.0 < config.budget_fraction <= 1.0:
         raise ConfigError(f"budget.fraction: must lie in (0, 1], got {config.budget_fraction}")
-    if not (math.isfinite(config.calib_noise) and config.calib_noise >= 0):
-        raise ConfigError(f"calib.noise: must be non-negative and finite, got {config.calib_noise}")
     if config.calib_n < 1:
         raise ConfigError(f"calib.n: must be positive, got {config.calib_n}")
     if config.model_seed < 0:

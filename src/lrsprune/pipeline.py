@@ -195,7 +195,7 @@ def _learned_key(evaluator, budget, pg, rng) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # reinforce_step rejects such a loss
         for _ in range(pg.iterations * evaluator.calib.size):
             bits = sample_mask(state, rng)
-            reinforce_step(state, bits, evaluator.loss(bits), pg)
+            reinforce_step(state, bits, evaluator.loss(bits))
     return state.probs
 
 
@@ -356,7 +356,7 @@ def job_from_config(
     if model is None:
         rng = np.random.default_rng(config.model_seed)
         model = planted_model(config.shapes, rng)
-        calib = gen_calibration(model, config.calib_n, config.calib_noise, rng)
+        calib = gen_calibration(model, config.calib_n, 0.0, rng)
     return CompressionJob(
         model=model,
         calib=calib,

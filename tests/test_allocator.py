@@ -10,7 +10,10 @@ from scipy.optimize import minimize
 
 from lrsprune import allocator
 from lrsprune.allocator import (
+    BASELINE_BETA,
     EPSILON,
+    LEARNING_RATE,
+    WINDOW,
     PolicyGradientConfig,
     RetentionState,
     greedy_fill,
@@ -106,15 +109,7 @@ def table_loss(table):
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            PolicyGradientConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            PolicyGradientConfig(learning_rate=float("inf"))
-        with pytest.raises(ValueError):
-            PolicyGradientConfig(baseline_beta=1.0)
-        with pytest.raises(ValueError):
             PolicyGradientConfig(iterations=0)
-        with pytest.raises(ValueError):
-            PolicyGradientConfig(window=0)
         with pytest.raises(ValueError):
             PolicyGradientConfig(seed=-1)
 
@@ -209,51 +204,48 @@ class TestLogProbGrad:
 
 class TestReinforceStep:
     def test_baseline_update_arithmetic(self):
-        cfg = PolicyGradientConfig(window=1)
+        # the first step's window holds its own loss alone, whatever WINDOW is
         state = init_state([1.0], 1.0)
-        reinforce_step(state, np.array([1]), 1.0, cfg)
-        assert state.baseline == pytest.approx(0.1, abs=1e-15)
-        # advantage 0.9 pushed the kept-candidate probability down
-        expected = 0.5 - cfg.learning_rate * 0.9 * (0.5 / (0.25 + EPSILON))
+        reinforce_step(state, np.array([1]), 1.0)
+        assert state.baseline == pytest.approx(1.0 - BASELINE_BETA, abs=1e-15)
+        # advantage BASELINE_BETA pushed the kept-candidate probability down
+        expected = 0.5 - LEARNING_RATE * BASELINE_BETA * (0.5 / (0.25 + EPSILON))
         assert state.probs[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_advantage_leaves_probs_unchanged(self):
-        cfg = PolicyGradientConfig(baseline_beta=0.5, window=1)
         state = init_state([1.0, 1.0], 2.0)
         state.probs = np.array([0.3, 0.6])
-        state.baseline = 2.5
-        reinforce_step(state, np.array([1, 0]), 2.5, cfg)
+        state.baseline = 2.5  # a baseline equal to the one loss in the window stays put
+        reinforce_step(state, np.array([1, 0]), 2.5)
         np.testing.assert_array_equal(state.probs, [0.3, 0.6])
 
     def test_windowed_signal_with_plain_averaging(self):
-        cfg = PolicyGradientConfig(baseline_beta=0.0, window=5, learning_rate=1e-9)
         state = init_state([1.0], 1.0)
-        seen = []
-        for k, loss in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], start=1):
-            reinforce_step(state, np.array([0]), loss, cfg)
-            seen.append(loss)
-            assert len(state.recent_losses) == min(k, 5)
-            assert state.baseline == pytest.approx(np.mean(seen[-5:]), abs=1e-12)
+        seen, baseline = [], 0.0
+        for k in range(1, WINDOW + 2):  # one loss more than the window holds
+            reinforce_step(state, np.array([0]), float(k))
+            seen.append(float(k))
+            baseline = BASELINE_BETA * baseline + (1.0 - BASELINE_BETA) * np.mean(seen[-WINDOW:])
+            assert len(state.recent_losses) == min(k, WINDOW)
+            assert state.baseline == pytest.approx(baseline, abs=1e-12)
 
     def test_single_candidate_learns_to_keep(self):
         # keeping the candidate scores 0, dropping it scores 1
-        cfg = PolicyGradientConfig(window=1)
         state = init_state([1.0], 1.0)
         rng = np.random.default_rng(0)
         for _ in range(500):
             bits = sample_mask(state, rng)
             loss = 0.0 if bits[0] else 1.0
-            reinforce_step(state, bits, loss, cfg)
+            reinforce_step(state, bits, loss)
         assert state.probs[0] >= 0.95
 
     def test_budget_respected_after_every_step(self, rng):
-        cfg = PolicyGradientConfig(window=1)
         costs = np.array([1.0, 1.0, 1.0])
         state = init_state(costs, 1.5)
         for _ in range(50):
             bits = sample_mask(state, rng)
             loss = float(np.sum(bits))
-            reinforce_step(state, bits, loss, cfg)
+            reinforce_step(state, bits, loss)
             assert float(costs @ state.probs) <= 1.5 + 1e-9
             assert np.all(state.probs >= 0.0) and np.all(state.probs <= 1.0)
 
@@ -262,7 +254,7 @@ class TestReinforceStep:
         state = init_state([1.0, 1.0], 1.0)
         before = state.probs.copy()
         with pytest.raises(ValueError, match="task loss must be finite"):
-            reinforce_step(state, np.array([1, 0]), loss, PolicyGradientConfig())
+            reinforce_step(state, np.array([1, 0]), loss)
         np.testing.assert_array_equal(state.probs, before)
         assert state.recent_losses == [] and state.baseline == 0.0
 
@@ -272,22 +264,21 @@ class TestReinforceStep:
             st.integers(min_value=1, max_value=10),
             elements=st.floats(min_value=0.0, max_value=1.0),
         ),
-        loss=st.floats(min_value=-10.0, max_value=10.0),
-        learning_rate=st.floats(min_value=0.01, max_value=50.0),
+        # LEARNING_RATE * advantage spans up to 270 in size
+        loss=st.floats(min_value=-6000.0, max_value=6000.0),
         frac=st.floats(min_value=0.0, max_value=1.2),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_step_projects_like_project_to_budget(self, probs, loss, learning_rate, frac, seed):
+    def test_step_projects_like_project_to_budget(self, probs, loss, frac, seed):
         # large steps push every probability out of (0, 1): an empty free set
         n = probs.size
         costs = np.where(np.arange(n) < 2, 48.0, 1.0)
         state = RetentionState(probs=probs, costs=costs, budget=frac * float(costs.sum()))
         bits = np.random.default_rng(seed).integers(0, 2, n).astype(np.int8)
-        cfg = PolicyGradientConfig(learning_rate=learning_rate, window=1, baseline_beta=0.5)
-        advantage = loss - 0.5 * loss
+        advantage = loss - (1.0 - BASELINE_BETA) * loss  # the first baseline moves from 0
         grad = log_prob_grad(bits, np.clip(probs, 1e-6, 1.0 - 1e-6), EPSILON)
-        expected = project_to_budget(probs - learning_rate * advantage * grad, costs, state.budget)
-        reinforce_step(state, bits, loss, cfg)
+        expected = project_to_budget(probs - LEARNING_RATE * advantage * grad, costs, state.budget)
+        reinforce_step(state, bits, loss)
         assert state.probs.tobytes() == expected.tobytes()
 
 
