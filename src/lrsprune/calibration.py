@@ -2,9 +2,11 @@
 
 A model is a stack of dense weight matrices applied left to right,
 ``h <- relu(h @ W)``, with the rectifier between layers only. The task loss
-is the squared output error summed over coordinates and averaged over the
-calibration records; ``loss_with_masks`` scores masks over candidate pools
-through ``pool.reconstruct``.
+of a weight stack, ``stack_loss``, is the squared output error summed over
+coordinates and averaged over the calibration records. Masks over candidate
+pools are scored by ``loss_with_masks``, which rebuilds the masked layers by
+``pool.reconstruct``, and with equal losses by ``MaskedLossEvaluator``, which
+scores one group's masks in turn, updating its weights and layer inputs in place.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _output_loss(out: np.ndarray, calib: CalibrationSet) -> float:
     return float(np.add.reduce(out, axis=None) / out.shape[0])
 
 
-def _task_loss(weights, calib: CalibrationSet) -> float:
+def stack_loss(weights, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error of a weight stack; overflow does not warn."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _output_loss(_forward(weights, calib.inputs), calib)
@@ -118,7 +120,7 @@ def _task_loss(weights, calib: CalibrationSet) -> float:
 
 def forward_loss(model: ToyModel, calib: CalibrationSet) -> float:
     """Mean over records of the squared output error."""
-    return _task_loss(model.layers, calib)
+    return stack_loss(model.layers, calib)
 
 
 def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> float:
@@ -134,7 +136,77 @@ def loss_with_masks(model: ToyModel, pools, masks, calib: CalibrationSet) -> flo
         if not 0 <= idx < len(weights):
             raise ValueError(f"layer index {idx} out of range")
         weights[idx] = reconstruct(pool, masks[idx])
-    return _task_loss(weights, calib)
+    return stack_loss(weights, calib)
+
+
+class MaskedLossEvaluator:
+    """Task loss of a mask over a group's concatenated candidates, the layers
+    outside the group at ``weights``; each loss is appended to ``history``.
+
+    The group's weights share one flat buffer, one view per layer, and a spare
+    last slot that holds 0. Two arrays over the group's mask positions give
+    each sparse entry's buffer offset and value; a triplet position points at
+    the spare slot with value 0. A changed mask writes back the low-rank
+    values under the last kept positions (``w + v - v`` is not ``w`` in
+    floating point), recomputes the product of each layer whose triplet bits
+    changed, and places all kept entries by one gather, one add and one
+    scatter at the kept positions, where the triplets add 0 to the spare
+    slot. The forward reruns from the first changed layer on cached layer
+    inputs, which the first call fills; a repeated mask returns the last
+    loss. Masks are 0/1 int8, read as bool. Weights and losses equal a full
+    rebuild by ``reconstruct``.
+    """
+
+    def __init__(self, calib: CalibrationSet, weights, pools, group, history):
+        self.calib = calib
+        self.pools = pools
+        self.weights = list(weights)
+        self.history = history
+        ends = np.cumsum([0] + [pools[i].size for i in group])
+        self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
+        self.costs = np.concatenate([pools[i].costs for i in group])
+        at = np.cumsum([0] + [pools[i].rows * pools[i].cols for i in group])
+        spare = int(at[-1])
+        self._buffer = np.zeros(spare + 1)
+        self._layers, offsets, values = [], [], []  # (index, mask slice, t, U sigma, V^T)
+        for k, i in enumerate(group):
+            pool, sl = pools[i], self.slices[i]
+            self.weights[i] = self._buffer[at[k] : at[k + 1]].reshape(pool.rows, pool.cols)
+            self._layers.append((i, sl, pool.n_triplets, pool.u * pool.sigma, pool.vt))
+            offsets += [np.full(pool.n_triplets, spare), at[k] + pool.entry_flat]
+            values += [np.zeros(pool.n_triplets), pool.entry_values]
+        self._pos_at, self._pos_values = np.concatenate(offsets), np.concatenate(values)
+        self._at, self._under = self._pos_at[:0], self._buffer[:0]  # kept positions, values under
+        self._keys = dict.fromkeys(group)  # each layer's last mask bytes; its first t are triplets
+        self._acts = [calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
+        self._loss = None
+
+    def loss(self, bits: np.ndarray) -> float:
+        if (shape := self.costs.shape) != bits.shape or bits.dtype != np.int8:
+            raise ValueError(f"mask must be int8 of shape {shape}, got {bits.dtype} {bits.shape}")
+        flags, first = bits.view(np.bool_), None  # nonzero on bool is faster than on int8
+        for i, sl, t, us, vt in self._layers:
+            key = bits[sl].tobytes()
+            last = self._keys[i]
+            if key == last:
+                continue
+            if first is None:
+                first = i
+                self._buffer[self._at] = self._under
+            self._keys[i] = key
+            if last is None or key[:t] != last[:t]:
+                keep = flags[sl.start : sl.start + t]  # compress: [:, keep] and [keep], faster
+                np.matmul(us.compress(keep, 1), vt.compress(keep, 0), out=self.weights[i])
+        if first is not None:
+            kept = flags.nonzero()[0]
+            self._at = at = self._pos_at[kept]
+            self._under = under = self._buffer[at]
+            self._buffer[at] = under + self._pos_values[kept]
+            del self._acts[first + 1 :]
+            out = _forward(self.weights[len(self._acts) - 1 :], self._acts[-1], self._acts)
+            self._loss = _output_loss(out, self.calib)
+        self.history.append(self._loss)
+        return self._loss
 
 
 def _plant_outliers(l0, rng: np.random.Generator, outlier_frac, outlier_scale):

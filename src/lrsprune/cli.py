@@ -80,8 +80,9 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-# a model directory holds layer<i>.weight.capm for i = 0, 1, ... and the
-# calibration pair; compress writes three factor files per layer
+# a model directory holds layer<k>.weight.capm for k = 0, 1, ..., written without
+# leading zeros, and the calibration pair; compress writes three factor files per layer
+LAYER = r"layer(?:0|[1-9][0-9]*)"
 WEIGHT = ".weight.capm"
 INPUTS, TARGETS = "calib.inputs.capm", "calib.targets.capm"
 FACTORS = (".uprime.capm", ".vprime.capm", ".smasked.capm")
@@ -110,7 +111,7 @@ def _publish(out: Path, files: dict, family: tuple[str, ...] = ()) -> None:
         for name in files:
             os.replace(tmp / name, out / name)
         for path in sorted(out.iterdir()):
-            match = re.fullmatch(r"layer\d+(\..+)", path.name)
+            match = re.fullmatch(LAYER + r"(\..+)", path.name)
             if match and match[1] in family and path.name not in files:
                 path.unlink()
     finally:
@@ -147,7 +148,7 @@ def cmd_decompose(args) -> int:
 def _read_model_dir(model_dir: Path) -> tuple[ToyModel, CalibrationSet]:
     """The n ``layer<k>`` weights, numbered 0..n-1, and the calibration pair. Reading raises
     FileNotFoundError at the first number missing, ``layer0`` where there is no weight."""
-    weight_file = re.compile(rf"layer\d+{re.escape(WEIGHT)}")
+    weight_file = re.compile(LAYER + re.escape(WEIGHT))
     n = sum(bool(weight_file.fullmatch(p.name)) for p in model_dir.glob(f"layer*{WEIGHT}"))
     weights = [read_matrix(model_dir / f"layer{k}{WEIGHT}") for k in range(max(n, 1))]
     inputs = read_matrix(model_dir / INPUTS)

@@ -36,14 +36,13 @@ from .allocator import (
 )
 from .calibration import (
     CalibrationSet,
+    MaskedLossEvaluator,
     ToyModel,
-    _forward,
-    _output_loss,
-    _task_loss,
     forward_loss,
     gen_calibration,
     loss_with_masks,
     planted_model,
+    stack_loss,
 )
 from .matio import MODES, JobConfig
 from .pool import build_pool, factorize, param_count, reconstruct
@@ -118,77 +117,6 @@ def _stage1(job: CompressionJob):
     return columns, pools, dense_loss, loss_with_masks(job.model, pools, ones, job.calib)
 
 
-class _MaskedLossEvaluator:
-    """Task loss of a mask over a group's concatenated candidates, the layers
-    outside the group at ``weights``; each loss is appended to ``history``.
-
-    The group's weights share one flat buffer, one view per layer, and a spare
-    last slot that holds 0. Two arrays over the group's mask positions give
-    each sparse entry's buffer offset and value; a triplet position points at
-    the spare slot with value 0. A changed mask writes back the low-rank
-    values under the last kept positions (``w + v - v`` is not ``w`` in
-    floating point), recomputes the product of each layer whose triplet bits
-    changed, and places all kept entries by one gather, one add and one
-    scatter at the kept positions, where the triplets add 0 to the spare
-    slot. The forward reruns from the first changed layer on cached layer
-    inputs, which the first call fills; a repeated mask returns the last
-    loss. Masks are 0/1 int8, read as bool. Weights and losses equal a full
-    rebuild by ``reconstruct``.
-    """
-
-    def __init__(self, job, weights, pools, group, history):
-        self.calib = job.calib
-        self.pools = pools
-        self.weights = list(weights)
-        self.history = history
-        ends = np.cumsum([0] + [pools[i].size for i in group])
-        self.slices = {i: slice(int(ends[k]), int(ends[k + 1])) for k, i in enumerate(group)}
-        self.costs = np.concatenate([pools[i].costs for i in group])
-        at = np.cumsum([0] + [pools[i].rows * pools[i].cols for i in group])
-        spare = int(at[-1])
-        self._buffer = np.zeros(spare + 1)
-        self._layers, offsets, values = [], [], []  # (index, mask slice, t, U sigma, V^T)
-        for k, i in enumerate(group):
-            pool, sl = pools[i], self.slices[i]
-            self.weights[i] = self._buffer[at[k] : at[k + 1]].reshape(pool.rows, pool.cols)
-            self._layers.append((i, sl, pool.n_triplets, pool.u * pool.sigma, pool.vt))
-            offsets += [np.full(pool.n_triplets, spare), at[k] + pool.entry_flat]
-            values += [np.zeros(pool.n_triplets), pool.entry_values]
-        self._pos_at, self._pos_values = np.concatenate(offsets), np.concatenate(values)
-        self._at, self._under = self._pos_at[:0], self._buffer[:0]  # kept positions, values under
-        self._keys = dict.fromkeys(group)  # each layer's last mask bytes; its first t are triplets
-        self._acts = [job.calib.inputs]  # acts[k] is the input of layer k, for k < len(acts)
-        self._loss = None
-
-    def loss(self, bits: np.ndarray) -> float:
-        if bits.shape != self.costs.shape or bits.dtype != np.int8:
-            shape = self.costs.shape
-            raise ValueError(f"mask must be int8 of shape {shape}, got {bits.dtype} {bits.shape}")
-        flags, first = bits.view(np.bool_), None  # nonzero on bool is faster than on int8
-        for i, sl, t, us, vt in self._layers:
-            key = bits[sl].tobytes()
-            last = self._keys[i]
-            if key == last:
-                continue
-            if first is None:
-                first = i
-                self._buffer[self._at] = self._under
-            self._keys[i] = key
-            if last is None or key[:t] != last[:t]:
-                keep = flags[sl.start : sl.start + t]  # compress: [:, keep] and [keep], faster
-                np.matmul(us.compress(keep, 1), vt.compress(keep, 0), out=self.weights[i])
-        if first is not None:
-            kept = flags.nonzero()[0]
-            self._at = at = self._pos_at[kept]
-            self._under = under = self._buffer[at]
-            self._buffer[at] = under + self._pos_values[kept]
-            del self._acts[first + 1 :]
-            out = _forward(self.weights[len(self._acts) - 1 :], self._acts[-1], self._acts)
-            self._loss = _output_loss(out, self.calib)
-        self.history.append(self._loss)
-        return self._loss
-
-
 def _learned_key(evaluator, budget, pg, rng) -> np.ndarray:
     """Learned key: the retention probabilities after sampling, scoring, reinforcing."""
     state = init_state(evaluator.costs, budget)
@@ -226,14 +154,13 @@ def _select(job: CompressionJob, stage1, choose):
         (CompressionReport, dict layer index -> mask)
     """
     columns, pools, dense_loss, rpca_loss = stage1
-    layers = list(pools)
-    groups = [layers] if job.mode == "global" else [[i] for i in layers]
+    groups = [list(pools)] if job.mode == "global" else [[i] for i in pools]
     weights = list(job.model.layers)
     history: list[float] = []
     masks: dict[int, np.ndarray] = {}
     budget, too_small = 0, False
     for group in groups:
-        evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
+        evaluator = MaskedLossEvaluator(job.calib, weights, pools, group, history)
         costs, group_budget = evaluator.costs, _budget(job, group)
         budget += group_budget
         mask = np.zeros(costs.size, dtype=np.int8)
@@ -248,7 +175,7 @@ def _select(job: CompressionJob, stage1, choose):
             weights[i] = reconstruct(pools[i], masks[i])
         del evaluator  # its weight buffer and cached layer inputs, before the next group
 
-    final_loss = _task_loss(weights, job.calib)
+    final_loss = stack_loss(weights, job.calib)
     if not math.isfinite(final_loss):  # no learning step may have scored it
         raise ValueError(f"task loss must be finite, got {final_loss}")
     summaries = [

@@ -499,6 +499,29 @@ class TestCompress:
         assert "layer1.weight.capm" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "stray",
+        ["layer01.weight.capm", "layer\u0661.weight.capm"],
+        ids=["leading_zero", "non_ascii_digit"],
+    )
+    def test_non_canonical_layer_name_is_no_layer(self, tmp_path, tiny_config, model_dir, stray):
+        # the file neither counts as a layer nor changes the outputs
+        argv = ["--config", str(tiny_config), "--quiet"]
+        out, stray_out = tmp_path / "o", tmp_path / "o_stray"
+        assert main(["compress", str(model_dir), "--out", str(out), *argv]) == 0
+        (model_dir / stray).write_bytes((model_dir / "layer1.weight.capm").read_bytes())
+        assert main(["compress", str(model_dir), "--out", str(stray_out), *argv]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {p.name: p.read_bytes() for p in stray_out.iterdir()} == written
+
+    def test_gen_keeps_non_canonical_layer_names(self, tmp_path, tiny_config):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "layer00.weight.capm").write_bytes(b"not written by gen")
+        assert main(["gen", "--config", str(tiny_config), "--out", str(model), "--quiet"]) == 0
+        assert (model / "layer00.weight.capm").read_bytes() == b"not written by gen"
+        assert (model / "layer0.weight.capm").exists()
+
     def test_empty_calibration_exit_code(self, tmp_path, tiny_config, model_dir, capsys):
         write_matrix(model_dir / "calib.inputs.capm", np.zeros((0, 12)))
         write_matrix(model_dir / "calib.targets.capm", np.zeros((0, 6)))

@@ -1,7 +1,9 @@
 """End-to-end orchestration: budgets, reports, modes, baselines, sweeps."""
 
+import ast
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +14,18 @@ from lrsprune import pipeline
 from lrsprune.allocator import PolicyGradientConfig
 from lrsprune.calibration import (
     CalibrationSet,
+    MaskedLossEvaluator,
     ToyModel,
-    _task_loss,
     gen_calibration,
     loss_with_masks,
     planted_model,
+    stack_loss,
 )
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     MODES,
     CompressionJob,
     CompressionReport,
-    _MaskedLossEvaluator,
     _budget,
     _family_pools,
     _magnitude_key,
@@ -386,7 +388,7 @@ def walk_in_place(job, pools, rng):
     weights = list(job.model.layers)
     for group in groups:
         passed = [w.copy() for w in weights]
-        evaluator = _MaskedLossEvaluator(job, weights, pools, group, [])
+        evaluator = MaskedLossEvaluator(job.calib, weights, pools, group, [])
         masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
         parts = ("entries", "triplets", "both", "none", "entries", "entries", "triplets")
         walk = [{}] + [{i: part} for part in parts for i in group]
@@ -411,7 +413,7 @@ def walk_in_place(job, pools, rng):
             for k in group:
                 full[k] = reconstruct(pools[k], masks[k])
                 assert evaluator.weights[k].tobytes() == full[k].tobytes(), (group, step)
-            assert loss == _task_loss(full, job.calib), (group, step)
+            assert loss == stack_loss(full, job.calib), (group, step)
             assert evaluator._buffer[-1:].tobytes() == bytes(8), (group, step)  # +0.0
             assert all(a.tobytes() == b.tobytes() for a, b in zip(weights, passed))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(job.model.layers, given))
@@ -429,7 +431,7 @@ class TestIncrementalEvaluator:
         weights = list(job.model.layers)
         for group in groups:
             history = []
-            evaluator = _MaskedLossEvaluator(job, weights, pools, group, history)
+            evaluator = MaskedLossEvaluator(job.calib, weights, pools, group, history)
             masks = {i: rng.integers(0, 2, pools[i].size).astype(np.int8) for i in group}
             for step, change in enumerate(WALK):
                 picked = {"all": group, "last": group[-1:], "first": group[:1], "none": []}
@@ -440,7 +442,7 @@ class TestIncrementalEvaluator:
                 full = list(weights)
                 for i in group:
                     full[i] = reconstruct(pools[i], masks[i])
-                assert loss == _task_loss(full, job.calib), (group, step)
+                assert loss == stack_loss(full, job.calib), (group, step)
                 assert len(history) == step + 1 and history[-1] == loss
                 # the inputs of the layers up to the first changed one are reused
                 first = picked[change][0] if picked[change] else len(weights) - 1
@@ -482,7 +484,7 @@ class TestIncrementalEvaluator:
     def test_rejects_masks_it_cannot_read_as_bool(self):
         job = default_job(calib_n=8)
         pools = _stage1(job)[1]
-        evaluator = _MaskedLossEvaluator(job, job.model.layers, pools, list(pools), [])
+        evaluator = MaskedLossEvaluator(job.calib, job.model.layers, pools, list(pools), [])
         ones = np.ones(evaluator.costs.size, dtype=np.int8)
         for bad in (ones.astype(np.int64), ones.astype(bool), ones[1:]):
             with pytest.raises(ValueError, match="mask must be int8 of shape"):
@@ -492,12 +494,12 @@ class TestIncrementalEvaluator:
     def test_threshold_rows_forward_nothing(self, monkeypatch):
         made = []
 
-        class Recording(pipeline._MaskedLossEvaluator):
+        class Recording(pipeline.MaskedLossEvaluator):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
+        monkeypatch.setattr(pipeline, "MaskedLossEvaluator", Recording)
         job = default_job(calib_n=32, mode="sequential", budget_fraction=0.15)
         report, _ = heuristic_threshold_baseline(job)
         assert len(made) == 3 and report.history == []
@@ -604,7 +606,7 @@ class TestSelect:
     def test_each_evaluator_is_dropped_once_its_group_is_chosen(self, mode, monkeypatch):
         evaluators = []  # weak references to every group's evaluator so far
 
-        class Recording(_MaskedLossEvaluator):
+        class Recording(MaskedLossEvaluator):
             def __init__(self, *args):
                 assert all(ref() is None for ref in evaluators)  # before the next group's
                 super().__init__(*args)
@@ -612,10 +614,10 @@ class TestSelect:
 
         def checking(weights, calib):
             assert all(ref() is None for ref in evaluators)  # and before the final loss
-            return _task_loss(weights, calib)
+            return stack_loss(weights, calib)
 
-        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
-        monkeypatch.setattr(pipeline, "_task_loss", checking)
+        monkeypatch.setattr(pipeline, "MaskedLossEvaluator", Recording)
+        monkeypatch.setattr(pipeline, "stack_loss", checking)
         job = default_job(calib_n=8, budget_fraction=0.15, mode=mode)
         report, _ = _select(job, _stage1(job), _magnitude_key)
         assert len(evaluators) == (1 if mode == "global" else len(report.layers))
@@ -625,7 +627,7 @@ class TestSelect:
         job = default_job(budget_fraction=0.15, mode=mode)
         events = []  # ("group", evaluator), ("key", key), ("fill", keys, costs, budget)
 
-        class Recording(_MaskedLossEvaluator):
+        class Recording(MaskedLossEvaluator):
             def __init__(self, *args):
                 super().__init__(*args)
                 events.append(("group", self))
@@ -644,7 +646,7 @@ class TestSelect:
 
         for name in ("_learned_key", "_magnitude_key"):
             monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
-        monkeypatch.setattr(pipeline, "_MaskedLossEvaluator", Recording)
+        monkeypatch.setattr(pipeline, "MaskedLossEvaluator", Recording)
         monkeypatch.setattr(pipeline, "greedy_fill", fill)
         ablate_threshold(job)
         starts = [k for k, event in enumerate(events) if event[0] == "group"] + [len(events)]
@@ -751,3 +753,16 @@ class TestSweepLambda:
         with pytest.raises(ValueError, match="lam must be positive"):
             sweep_lambda(job, [0.1, None, -0.5])
         assert calls == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # each module reaches the others through their public names only
+    private = []
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "lrsprune"
+            ):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+                private += [f"{path.name}: {node.module}.{name}" for name in names]
+    assert private == []
