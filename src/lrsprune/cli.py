@@ -61,7 +61,7 @@ def format_report(report) -> str:
     lines.append(f"rpca_loss\t{_fmt(report.rpca_loss)}")
     lines.append(f"final_loss\t{_fmt(report.final_loss)}")
     lines.append(f"budget_too_small\t{int(report.budget_too_small)}")
-    lines.append("rank_distribution\t" + ",".join(str(r) for r in report.rank_distribution))
+    lines.append("rank_distribution\t" + ",".join(str(ls.retained_rank) for ls in report.layers))
     lines.append("history\t" + ",".join(_fmt(h) for h in report.history))
     return "\n".join(lines) + "\n"
 

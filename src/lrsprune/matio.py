@@ -128,7 +128,6 @@ KEYS = {
     "calib.n": ("job", "calib_n", int),
     "rpca.lambda": ("rpca", "lam", lambda v: None if v == "auto" else float(v)),
     "rpca.tol": ("rpca", "tol", float),
-    "rpca.max_iters": ("rpca", "max_iters", int),
     "pg.iterations": ("pg", "iterations", int),
     "pg.seed": ("pg", "seed", int),
     "budget.fraction": ("job", "budget_fraction", float),

@@ -92,7 +92,6 @@ class CompressionReport:
     dense_loss: float
     rpca_loss: float
     final_loss: float
-    rank_distribution: list[int]
     history: list[float]  # every loss evaluated during mask learning
     budget_too_small: bool = False
     mode: str = "global"
@@ -109,7 +108,7 @@ def _stage1(job: CompressionJob):
     columns, pools = {}, {}
     for i, w in enumerate(job.model.layers):
         res = decompose(w, job.rpca_config)
-        pool = pools[i] = build_pool(i, res.factors, res.s)
+        pool = pools[i] = build_pool(res.factors, res.s)
         columns[i] = dict(rank_l=res.rank_l, nnz_s=pool.entry_flat.size, sparsity_s=res.sparsity_s)
         del res  # the split goes before the next layer is split, and before the losses
     ones = {i: np.ones(pool.size, dtype=np.int8) for i, pool in pools.items()}
@@ -197,7 +196,6 @@ def _select(job: CompressionJob, stage1, choose):
         dense_loss=dense_loss,
         rpca_loss=rpca_loss,
         final_loss=final_loss,
-        rank_distribution=[ls.retained_rank for ls in summaries],
         history=history,
         budget_too_small=too_small,
         mode=job.mode,

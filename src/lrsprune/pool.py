@@ -31,7 +31,6 @@ from .rpca import RANK_CUTOFF, SvdFactorization, as_matrix
 
 @dataclass
 class CandidatePool:
-    layer_id: int | str
     rows: int
     cols: int
     u: np.ndarray = field(repr=False)  # (rows, t), the kept triplets' U columns
@@ -64,7 +63,7 @@ class CandidatePool:
         return int(self.costs.sum())
 
 
-def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
+def build_pool(f: SvdFactorization, s) -> CandidatePool:
     """Enumerate the candidates of one decomposed layer.
 
     ``f`` factors the low-rank part, singular values descending (for
@@ -81,7 +80,6 @@ def build_pool(layer_id, f: SvdFactorization, s) -> CandidatePool:
     flat = flat[np.argsort(-np.abs(s.flat[flat]), kind="stable")]
 
     return CandidatePool(
-        layer_id=layer_id,
         rows=rows,
         cols=cols,
         u=f.u[:, :t],
@@ -124,7 +122,6 @@ class CompressedLayer:
     v_prime: np.ndarray  # (cols, r')
     s_masked: np.ndarray  # (rows, cols), retained sparse entries only
     mask: np.ndarray
-    retained_rank: int
 
     @property
     def stored_params(self) -> int:
@@ -147,5 +144,4 @@ def factorize(pool: CandidatePool, mask) -> CompressedLayer:
         v_prime=v_prime,
         s_masked=s_masked.reshape(pool.rows, pool.cols),
         mask=np.asarray(mask, dtype=np.int8).copy(),
-        retained_rank=int(np.count_nonzero(keep_t)),
     )

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 RHO = 1.5  # penalty growth factor per ADMM iteration
+MAX_ITERS = 500  # ADMM iterations before NonConvergenceError
 MU_CAP_FACTOR = 1e7  # penalty stops growing at MU_CAP_FACTOR times its start
 RANK_CUTOFF = 1e-9  # rank_l counts singular values above RANK_CUTOFF * sigma_1
 INITIAL_RANK = 10  # the guess the first step's survivor count is compared with
@@ -143,15 +144,12 @@ class RpcaConfig:
 
     lam: float | None = None
     tol: float = 1e-7
-    max_iters: int = 500
 
     def __post_init__(self):
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be positive and finite")
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -331,7 +329,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
 
     Raises:
         NonConvergenceError: the residual stayed above ``config.tol`` for
-            ``config.max_iters`` iterations.
+            ``MAX_ITERS`` iterations.
         ValueError: an entry of ``w`` is not finite, or a part scaled back
             overflows (``l`` may exceed max|W| where ``s`` takes an outlier).
     """
@@ -391,8 +389,8 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     s, gap, y_mu, a = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty_like(w)
     history: list[float] = []
     residual = float("inf")
-    iterations = config.max_iters
-    for it in range(1, config.max_iters + 1):
+    iterations = MAX_ITERS
+    for it in range(1, MAX_ITERS + 1):
         np.divide(y, mu, out=y_mu)
         if it > 1:
             np.subtract(w, s, out=a)
@@ -411,7 +409,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
             iterations = it
             break
     else:
-        raise NonConvergenceError(config.max_iters, residual, config.tol)
+        raise NonConvergenceError(MAX_ITERS, residual, config.tol)
 
     with np.errstate(over="ignore"):  # an overflow is raised below, not warned
         sig, l, s = (np.ldexp(part, e, out=part) for part in (factors.sigma, l, s))

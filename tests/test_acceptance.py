@@ -105,7 +105,7 @@ def test_near_oracle_selection():
         job = single_layer_job(seed, budget_fraction=4 / 384)
         report, _ = run(job)
         result = decompose(job.model.layers[0], job.rpca_config)
-        pool = build_pool(0, result.factors, result.s)
+        pool = build_pool(result.factors, result.s)
         assert pool.size <= 12
         oracle = brute_force_best_mask(
             pool,
@@ -133,7 +133,7 @@ def test_budget_exactness_and_factorization():
         assert recount == report.used_cost
         for i, layer in compressed.items():
             pool_result = decompose(job.model.layers[i], job.rpca_config)
-            pool = build_pool(i, pool_result.factors, pool_result.s)
+            pool = build_pool(pool_result.factors, pool_result.s)
             rebuilt = layer.u_prime @ layer.v_prime.T + layer.s_masked
             gap = float(np.max(np.abs(rebuilt - reconstruct(pool, layer.mask))))
             worst_gap = max(worst_gap, gap)

@@ -33,7 +33,7 @@ def planted_pool():
     """Exact ground-truth pool: rank-2 spectrum plus graded sparse entries."""
     rng = np.random.default_rng(2)
     w, l0, s0 = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.06)
-    return build_pool(0, svd(l0), s0), w, l0, s0
+    return build_pool(svd(l0), s0), w, l0, s0
 
 
 class TestToyModel:
@@ -173,12 +173,12 @@ def identity_pools():
     no_triplets = SvdFactorization(u=np.zeros((2, 0)), sigma=np.zeros(0), v=np.zeros((3, 0)))
     one = decompose(rng.standard_normal((1, 1)))
     return {
-        "toy": build_pool(0, svd(l0), s0),
-        "planted256": build_pool(0, svd(l1), s1),
-        "no_triplets": build_pool(0, no_triplets, np.array([[0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])),
-        "no_entries": build_pool(0, svd(l0), np.zeros_like(l0)),
-        "nothing": build_pool(0, svd(np.zeros((5, 3))), np.zeros((5, 3))),
-        "1x1": build_pool(0, one.factors, one.s),
+        "toy": build_pool(svd(l0), s0),
+        "planted256": build_pool(svd(l1), s1),
+        "no_triplets": build_pool(no_triplets, np.array([[0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])),
+        "no_entries": build_pool(svd(l0), np.zeros_like(l0)),
+        "nothing": build_pool(svd(np.zeros((5, 3))), np.zeros((5, 3))),
+        "1x1": build_pool(one.factors, one.s),
     }
 
 
@@ -215,7 +215,6 @@ class TestFactorize:
         layer = factorize(pool, mask)
         assert layer.u_prime.shape == (pool.rows, 0)
         assert layer.v_prime.shape == (pool.cols, 0)
-        assert layer.retained_rank == 0
         np.testing.assert_array_equal(layer.dense(), layer.s_masked)
 
     def test_square_root_balanced_factors(self):
@@ -223,7 +222,7 @@ class TestFactorize:
         v = np.zeros((5, 1))
         u[0, 0] = 1.0
         v[1, 0] = 1.0
-        pool = build_pool(0, svd(4.0 * (u @ v.T)), np.zeros((6, 5)))
+        pool = build_pool(svd(4.0 * (u @ v.T)), np.zeros((6, 5)))
         layer = factorize(pool, np.ones(pool.size))
         assert np.linalg.norm(layer.u_prime[:, 0]) == pytest.approx(2.0, abs=1e-12)
         assert np.linalg.norm(layer.v_prime[:, 0]) == pytest.approx(2.0, abs=1e-12)
@@ -232,7 +231,7 @@ class TestFactorize:
     def test_stored_params_match_cost_accounting(self, bits):
         rng = np.random.default_rng(4)
         w, l0, s0 = planted_spectrum_matrix(10, 8, 1, rng, outlier_frac=0.08)
-        pool = build_pool(0, svd(l0), s0)
+        pool = build_pool(svd(l0), s0)
         if pool.size != len(bits):
             bits = (bits * pool.size)[: pool.size]
         mask = np.array(bits)
@@ -249,7 +248,7 @@ class TestLossWithMasks:
             from lrsprune.rpca import decompose
 
             res = decompose(w)
-            pools[i] = build_pool(i, res.factors, res.s)
+            pools[i] = build_pool(res.factors, res.s)
         masks = {i: np.ones(pools[i].size, dtype=np.int8) for i in pools}
         got = loss_with_masks(model, pools, masks, calib)
         rebuilt = ToyModel(layers=[reconstruct(pools[i], masks[i]) for i in range(3)])
@@ -259,7 +258,7 @@ class TestLossWithMasks:
         model = default_toy_model(rng)
         calib = gen_calibration(model, 16, 0.0, rng)
         pools = {
-            i: build_pool(i, svd(model.layers[i]), np.zeros_like(model.layers[i]))
+            i: build_pool(svd(model.layers[i]), np.zeros_like(model.layers[i]))
             for i in range(3)
         }
         masks = {i: np.zeros(pools[i].size, dtype=np.int8) for i in pools}
@@ -270,7 +269,7 @@ class TestLossWithMasks:
     def test_partial_coverage_keeps_other_layers_dense(self, rng):
         model = default_toy_model(rng)
         calib = gen_calibration(model, 16, 0.0, rng)
-        pool = build_pool(1, svd(model.layers[1]), np.zeros_like(model.layers[1]))
+        pool = build_pool(svd(model.layers[1]), np.zeros_like(model.layers[1]))
         got = loss_with_masks(model, {1: pool}, {1: np.ones(pool.size)}, calib)
         # full mask on one layer reproduces that layer, so the loss stays tiny
         assert got <= 1e-12
@@ -278,7 +277,7 @@ class TestLossWithMasks:
     def test_key_mismatch_rejected(self, rng):
         model = default_toy_model(rng)
         calib = gen_calibration(model, 4, 0.0, rng)
-        pool = build_pool(0, svd(model.layers[0]), np.zeros_like(model.layers[0]))
+        pool = build_pool(svd(model.layers[0]), np.zeros_like(model.layers[0]))
         with pytest.raises(ValueError):
             loss_with_masks(model, {0: pool}, {1: np.ones(pool.size)}, calib)
         with pytest.raises(ValueError):
@@ -464,7 +463,7 @@ def test_top_direction_beats_smaller_alone(rng):
     w, l0, _ = planted_spectrum_matrix(16, 12, 2, rng, decay=0.7, outlier_frac=0.0)
     model = ToyModel(layers=[l0])
     calib = gen_calibration(model, 256, 0.0, rng)
-    pool = build_pool(0, svd(l0), np.zeros_like(l0))
+    pool = build_pool(svd(l0), np.zeros_like(l0))
     assert pool.n_triplets == 2
     top, second = np.zeros(pool.size), np.zeros(pool.size)
     top[0] = 1

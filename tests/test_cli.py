@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrsprune import cli, pipeline
+from lrsprune import cli, pipeline, rpca
 from lrsprune.calibration import ToyModel
 from lrsprune.cli import format_report, main
 from lrsprune.matio import (
@@ -116,7 +116,6 @@ KEY_CASES = [
     ("calib.n = 16", "job", "calib_n", 16),
     ("rpca.lambda = 0.2", "rpca", "lam", 0.2),
     ("rpca.tol = 1e-5", "rpca", "tol", 1e-5),
-    ("rpca.max_iters = 50", "rpca", "max_iters", 50),
     ("pg.iterations = 2", "pg", "iterations", 2),
     ("pg.seed = 3", "pg", "seed", 3),
     ("budget.fraction = 0.15", "job", "budget_fraction", 0.15),
@@ -124,7 +123,8 @@ KEY_CASES = [
 ]
 
 
-# the learner's hyperparameters and the calibration noise are constants, not keys
+# the learner's hyperparameters, the calibration noise and the ADMM iteration cap
+# are constants, not keys
 REMOVED_KEY_LINES = [
     "pg.lr = 0.05",
     "pg.lr = 0",
@@ -135,6 +135,9 @@ REMOVED_KEY_LINES = [
     "calib.noise = 0",
     "calib.noise = -1",
     "calib.noise = inf",
+    "rpca.max_iters = 500",
+    "rpca.max_iters = 50",
+    "rpca.max_iters = 0",
 ]
 
 
@@ -146,7 +149,6 @@ class TestJobConfig:
         assert s.calib_n == 128
         assert s.rpca.lam is None
         assert s.rpca.tol == 1e-7
-        assert s.rpca.max_iters == 500
         assert s.pg.iterations == 3
         assert s.pg.seed == 0
         assert s.budget_fraction == 0.5
@@ -211,7 +213,6 @@ class TestJobConfig:
         "line, section",
         [
             ("rpca.tol = 2", "rpca"),
-            ("rpca.max_iters = 0", "rpca"),
             ("rpca.lambda = inf", "rpca"),
             ("pg.seed = -1", "pg"),
         ],
@@ -352,9 +353,10 @@ class TestDecompose:
         missing = tmp_path / "nope.capm"
         assert main(["decompose", str(missing), "--out", str(tmp_path / "o")]) == 5
 
-    def test_non_convergence_exit_code(self, tmp_path, model_dir):
+    def test_non_convergence_exit_code(self, tmp_path, model_dir, monkeypatch):
         cfg = tmp_path / "hard.cfg"
-        cfg.write_text(TINY_CONFIG + "rpca.max_iters = 2\n")
+        cfg.write_text(TINY_CONFIG)
+        monkeypatch.setattr(rpca, "MAX_ITERS", 2)
         src = model_dir / "layer0.weight.capm"
         assert main(["decompose", str(src), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
@@ -407,6 +409,14 @@ class TestDecompose:
             assert main(argv) == 2
             assert "line 1: unknown key" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_iteration_cap_is_no_config_key(self, tmp_path, model_dir, capsys):
+        cfg, out = tmp_path / "cap.cfg", tmp_path / "capped"
+        cfg.write_text("rpca.max_iters = 500\n")
+        argv = ["compress", str(model_dir), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "line 1: unknown key 'rpca.max_iters'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_config_key_exit_code(self, tmp_path, model_dir, capsys):
         cfg = tmp_path / "twice.cfg"

@@ -19,7 +19,7 @@ def small_pool():
     v = np.linalg.qr(rng.standard_normal((4, 1)))[0]
     s = np.zeros((6, 4))
     s[0, 1], s[2, 3], s[5, 0] = 3.0, -2.0, 1.0
-    return build_pool(0, svd(5.0 * (u @ v.T)), s)
+    return build_pool(svd(5.0 * (u @ v.T)), s)
 
 
 class TestBruteForce:

@@ -21,6 +21,7 @@ from lrsprune.calibration import (
     planted_model,
     stack_loss,
 )
+from lrsprune.cli import format_report
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     MODES,
@@ -146,10 +147,10 @@ class TestRunReport:
 
     def test_rank_distribution_mirrors_layers(self, quick_run):
         _, report, compressed = quick_run
-        assert report.rank_distribution == [ls.retained_rank for ls in report.layers]
-        assert report.rank_distribution == [
-            compressed[i].retained_rank for i in sorted(compressed)
-        ]
+        ranks = [ls.retained_rank for ls in report.layers]
+        line = "rank_distribution\t" + ",".join(map(str, ranks))
+        assert line in format_report(report).splitlines()
+        assert ranks == [compressed[i].u_prime.shape[1] for i in sorted(compressed)]
 
     def test_history_records_every_scored_sample(self):
         job = default_job(calib_n=32, budget_fraction=0.15)  # a budget that binds
@@ -169,7 +170,7 @@ class TestRunReport:
         b, _ = run(default_job(calib_n=32))
         assert a.final_loss == b.final_loss
         assert a.history == b.history
-        assert a.rank_distribution == b.rank_distribution
+        assert a.layers == b.layers
         assert a.used_cost == b.used_cost
 
 
@@ -238,7 +239,7 @@ class TestBudgetTooSmall:
         pools = _stage1(job)[1]
         report, compressed = run(job)
         assert report.used_cost == 0
-        assert report.rank_distribution == [0] * len(pools)
+        assert [ls.retained_rank for ls in report.layers] == [0] * len(pools)
         assert all(not layer.mask.any() for layer in compressed.values())
         assert report.history == []
         assert report.budget_too_small == any(pool.size for pool in pools.values())
@@ -254,7 +255,7 @@ class TestBudgetTooSmall:
         assert report.budget == 7
         assert report.budget_too_small is True
         assert report.used_cost == 0
-        assert report.rank_distribution == [0]
+        assert [ls.retained_rank for ls in report.layers] == [0]
         assert report.history == []
         np.testing.assert_array_equal(compressed[0].mask, 0)
         expected = float(np.mean(np.sum(calib.targets**2, axis=1)))
@@ -316,7 +317,7 @@ def reference_threshold_masks(job, components):
     candidates, masks = [], {}
     for i, w in enumerate(job.model.layers):
         res = decompose(w, job.rpca_config)
-        pool = build_pool(i, res.factors, res.s)
+        pool = build_pool(res.factors, res.s)
         masks[i] = np.zeros(pool.size, dtype=np.int8)
         for k, sigma in enumerate(pool.sigma):
             candidates.append((i, k, "low_rank_only", float(sigma), pool.rows + pool.cols))
@@ -475,7 +476,7 @@ class TestIncrementalEvaluator:
         pools = {
             0: families["low_rank_only"][0],
             1: families["sparse_only"][1],
-            2: build_pool(2, none, np.zeros((24, 16))),
+            2: build_pool(none, np.zeros((24, 16))),
         }
         assert pools[0].size == pools[0].n_triplets > 0
         assert pools[1].size > pools[1].n_triplets == 0 and pools[2].size == 0
@@ -522,7 +523,7 @@ class TestNearOracle:
         job = single_layer_job(0, budget_fraction=4 / 384)
         report, _ = run(job)
         res = decompose(job.model.layers[0], job.rpca_config)
-        pool = build_pool(0, res.factors, res.s)
+        pool = build_pool(res.factors, res.s)
         assert pool.size <= 12
 
         def loss_fn(bits):
@@ -567,7 +568,6 @@ class TestAblateThreshold:
                 want.budget,
             )
             assert got.history == want.history
-            assert got.rank_distribution == want.rank_distribution
             assert got.layers == want.layers
             assert got.budget_too_small == want.budget_too_small
 
@@ -679,7 +679,7 @@ class TestFamilyPools:
             assert (low_rank.n_triplets, low_rank.size) == (t, t)
             assert (sparse.n_triplets, sparse.size) == (0, pool.size - t)
             for family, cut in ((low_rank, slice(0, t)), (sparse, slice(t, pool.size))):
-                assert (family.layer_id, family.rows, family.cols) == (i, pool.rows, pool.cols)
+                assert (family.rows, family.cols) == (pool.rows, pool.cols)
                 for name in ("costs", "magnitudes"):
                     got, want = getattr(family, name), getattr(pool, name)[cut]
                     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name

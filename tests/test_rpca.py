@@ -15,6 +15,7 @@ from lrsprune.calibration import (
 )
 from lrsprune.rpca import (
     MU_CAP_FACTOR,
+    MAX_ITERS,
     RANK_CUTOFF,
     RHO,
     NonConvergenceError,
@@ -44,7 +45,7 @@ def full_svd_ialm(w, config=RpcaConfig()):
     mu_cap = MU_CAP_FACTOR * mu
     y = w / max(w_top, np.abs(w).max() / lam)
     s = np.zeros_like(w)
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         u, sig, vt = np.linalg.svd(w - s + y / mu, full_matrices=False)
         l = (u * np.maximum(sig - 1.0 / mu, 0.0)) @ vt
         s = soft_threshold(w - l + y / mu, lam / mu)
@@ -204,8 +205,6 @@ class TestConfigValidation:
             RpcaConfig(lam=float("inf"))
         with pytest.raises(ValueError):
             RpcaConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            RpcaConfig(max_iters=0)
 
 
 class TestDecompose:
@@ -306,10 +305,11 @@ class TestDecompose:
         nnz = [np.count_nonzero(decompose(w, RpcaConfig(lam=lam)).s) for lam in lams]
         assert all(a >= b for a, b in zip(nnz, nnz[1:]))
 
-    def test_non_convergence_error_carries_fields(self, rng):
+    def test_non_convergence_error_carries_fields(self, rng, monkeypatch):
         w, _, _ = planted_matrix(50, 40, 3, rng)
+        monkeypatch.setattr(rpca, "MAX_ITERS", 3)
         with pytest.raises(NonConvergenceError) as info:
-            decompose(w, RpcaConfig(max_iters=3))
+            decompose(w)
         err = info.value
         assert err.iterations == 3
         assert err.residual > err.tol
@@ -341,10 +341,12 @@ def first_step(w):
     """decompose(w) stopped after its first ADMM step, whose residual it is
     given as tol: (the step's factors, its SVT reference by np.linalg.svd as
     (shrunk sigma, L), the dual start's denominator d, and sigma_1)."""
-    with pytest.raises(NonConvergenceError) as info:
-        decompose(w, RpcaConfig(max_iters=1))
-    assert info.value.iterations == 1
-    res = decompose(w, RpcaConfig(max_iters=1, tol=info.value.residual))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpca, "MAX_ITERS", 1)
+        with pytest.raises(NonConvergenceError) as info:
+            decompose(w)
+        assert info.value.iterations == 1
+        res = decompose(w, RpcaConfig(tol=info.value.residual))
     assert res.iterations == 1 and res.residual_history == [info.value.residual]
     lam = default_lambda(*w.shape)
     w_top = np.linalg.norm(w, 2)
