@@ -29,7 +29,6 @@ from .matio import (
     ConfigError,
     JobConfig,
     MatrixFormatError,
-    load_job_config,
     parse_job_config,
     read_matrix,
     write_matrix,
@@ -57,7 +56,6 @@ from .rpca import (
     default_lambda,
     soft_threshold,
     svt,
-    svt_shrink,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .matio import (
     JobConfig,
     MatrixFormatError,
     format_matrix_text,
-    load_job_config,
+    parse_job_config,
     read_matrix,
     write_matrix,
 )
@@ -67,7 +67,7 @@ def format_report(report) -> str:
 
 
 def _load_config(args) -> JobConfig:
-    config = load_job_config(args.config) if args.config is not None else JobConfig()
+    config = JobConfig() if args.config is None else parse_job_config(Path(args.config).read_text())
     if getattr(args, "seed", None) is None:
         return config
     if args.seed < 0:

@@ -185,7 +185,3 @@ def parse_job_config(text: str) -> JobConfig:
     if config.model_seed < 0:
         raise ConfigError(f"model.seed: must be non-negative, got {config.model_seed}")
     return config
-
-
-def load_job_config(path) -> JobConfig:
-    return parse_job_config(Path(path).read_text())

@@ -171,11 +171,6 @@ def default_lambda(rows: int, cols: int) -> float:
     return 1.0 / float(np.sqrt(max(rows, cols)))
 
 
-def svt_shrink(sigma, tau: float) -> np.ndarray:
-    """max(sigma - tau, 0) on each singular value."""
-    return np.maximum(np.asarray(sigma, dtype=np.float64) - tau, 0.0)
-
-
 def soft_threshold(x, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """sign(x) * max(|x| - tau, 0), entrywise, computed as ``x - clip(x, -tau, tau)``
     in two passes: +0.0 where |x| <= tau, and elsewhere the same rounding as
@@ -260,7 +255,7 @@ def _shrunk_survivors(u, sigma, v, tau: float) -> SvdFactorization:
     signs = column_signs(u[:, :svp])
     return SvdFactorization(
         u=np.ascontiguousarray(u[:, :svp] * signs),
-        sigma=svt_shrink(sigma[:svp], tau),
+        sigma=np.maximum(sigma[:svp] - tau, 0.0),
         v=np.ascontiguousarray(v[:, :svp] * signs),
     )
 
@@ -388,8 +383,6 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     rng = np.random.default_rng(0)
     s, gap, y_mu, a = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty_like(w)
     history: list[float] = []
-    residual = float("inf")
-    iterations = MAX_ITERS
     for it in range(1, MAX_ITERS + 1):
         np.divide(y, mu, out=y_mu)
         if it > 1:
@@ -406,7 +399,6 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
         residual = float(np.linalg.norm(gap)) / scale
         history.append(residual)
         if residual <= config.tol:
-            iterations = it
             break
     else:
         raise NonConvergenceError(MAX_ITERS, residual, config.tol)
@@ -419,7 +411,7 @@ def decompose(w, config: RpcaConfig | None = None) -> RpcaResult:
     return RpcaResult(
         l=l,
         s=s,
-        iterations=iterations,
+        iterations=it,
         residual=residual,
         residual_history=history,
         rank_l=rank_l,

@@ -577,18 +577,23 @@ def _report_layers(out: Path) -> list[str]:
     return [line.split("\t")[0] for line in table.splitlines()[1:]]
 
 
+# every subcommand that writes --out: its arguments before --config, and the
+# write that test_failed_write_leaves_no_output makes fail
+OUT_COMMANDS = {
+    "gen": (["gen"], 3),
+    "decompose": (["decompose", "{model}/layer0.weight.capm"], 3),
+    "compress": (["compress", "{model}"], 3),
+    "sweep-lambda": (["sweep-lambda", "--lambdas", "0.01,auto"], 1),
+    "ablate-threshold": (["ablate-threshold"], 1),
+}
+
+
 class TestOutputsAllOrNothing:
     @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
     @pytest.mark.parametrize(
         "command, failing",
-        [
-            (["gen"], 3),
-            (["decompose", "{model}/layer0.weight.capm"], 3),
-            (["compress", "{model}"], 3),
-            (["sweep-lambda", "--lambdas", "0.01,auto"], 1),
-            (["ablate-threshold"], 1),
-        ],
-        ids=["gen", "decompose", "compress", "sweep-lambda", "ablate-threshold"],
+        list(OUT_COMMANDS.values()),
+        ids=list(OUT_COMMANDS),
     )
     def test_failed_write_leaves_no_output(
         self, tmp_path, tiny_config, model_dir, monkeypatch, command, failing, existing
@@ -616,6 +621,18 @@ class TestOutputsAllOrNothing:
         argv += ["--config", str(tiny_config), "--out", str(out), "--quiet"]
         assert main(argv) == 5
         assert len(calls) == failing
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command", [args for args, _ in OUT_COMMANDS.values()], ids=list(OUT_COMMANDS)
+    )
+    def test_missing_config_exit_code(self, tmp_path, model_dir, capsys, command):
+        missing, out = tmp_path / "nope.cfg", tmp_path / "z"
+        before = _tree(tmp_path)
+        argv = [arg.format(model=model_dir) for arg in command]
+        assert main(argv + ["--config", str(missing), "--out", str(out)]) == 5
+        said = capsys.readouterr().err
+        assert said.startswith("io error: ") and str(missing) in said
         assert _tree(tmp_path) == before
 
     def test_gen_with_fewer_layers_removes_stale_weights(self, tmp_path, capsys):

@@ -28,7 +28,6 @@ from lrsprune.rpca import (
     default_lambda,
     soft_threshold,
     svt,
-    svt_shrink,
 )
 from references import default_toy_model, frobenius_norm, heavy_model, planted_matrix, svd
 
@@ -131,7 +130,8 @@ class TestDefaultLambda:
 
 class TestShrinkage:
     def test_svt_shrink(self):
-        np.testing.assert_array_equal(svt_shrink([1.2, 0.5, 0.3], 0.5), [0.7, 0.0, 0.0])
+        f, _ = svt(np.diag([1.2, 0.5, 0.3]), 0.5, 3, None)
+        np.testing.assert_array_equal(f.sigma, [0.7])
 
     def test_soft_threshold(self):
         np.testing.assert_array_equal(
@@ -604,7 +604,7 @@ def linalg_svt(a, tau, k, rng, start=None):
     signs = column_signs(f.u[:, :svp])  # all +1 after svd
     shrunk = SvdFactorization(
         u=np.ascontiguousarray(f.u[:, :svp] * signs),
-        sigma=svt_shrink(f.sigma[:svp], tau),
+        sigma=np.maximum(f.sigma[:svp] - tau, 0.0),
         v=np.ascontiguousarray(f.v[:, :svp] * signs),
     )
     return shrunk, f.v
@@ -637,7 +637,7 @@ class TestFullSvdStep:
         svp = {"none": 0, "some": 2, "all": sigma.size}[survivors]
         assert f.rank == svp
         assert f.u.tobytes() == np.ascontiguousarray(full.u[:, :svp]).tobytes()
-        assert f.sigma.tobytes() == svt_shrink(full.sigma[:svp], tau).tobytes()
+        assert f.sigma.tobytes() == np.maximum(full.sigma[:svp] - tau, 0.0).tobytes()
         assert f.v.tobytes() == np.ascontiguousarray(full.v[:, :svp]).tobytes()
         assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
         # the start block is every right vector as the backend returns it, unsigned
