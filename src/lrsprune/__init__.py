@@ -34,6 +34,7 @@ from .matio import (
     write_matrix,
 )
 from .pipeline import (
+    ROWS,
     CompressionJob,
     CompressionReport,
     LayerSummary,
@@ -42,6 +43,8 @@ from .pipeline import (
     heuristic_threshold_baseline,
     job_from_config,
     run,
+    select,
+    stage1,
     sweep_lambda,
 )
 from .pool import CandidatePool, CompressedLayer, build_pool, factorize, param_count, reconstruct

@@ -12,11 +12,11 @@ layer in order. Reports are built from the masks; the survivors are
 factorized only where the factors are returned.
 
 Stage 1 fixes the low-rank and sparse spaces once per job; the learned
-selection and the magnitude-threshold baselines all search inside them, in
-the same budget groups, so ``ablate_threshold`` computes it once for all
-four of its rows. Stage 2 reads only pools: each layer's split is dropped
-once its pool is built, and the rows that keep only triplets or only sparse
-entries select, by the same rules, from the full pools cut to one part.
+selection and the magnitude-threshold baselines, the rows of ``ROWS``, all
+search inside them, in the same budget groups, so ``ablate_threshold``
+computes it once for every row. Stage 2 reads only pools: each layer's split
+is dropped once its pool is built, and the rows that keep only triplets or
+only sparse entries select, by the same rules, from the full pools cut to one part.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _budget(job: CompressionJob, layers) -> int:
     return int(np.floor(job.budget_fraction * sum(job.model.layers[i].size for i in layers)))
 
 
-def _stage1(job: CompressionJob):
+def stage1(job: CompressionJob):
     """The report's Stage 1 columns and the candidate pool of every layer, keyed
     by layer index, with the dense and the unpruned-decomposition task losses."""
     columns, pools = {}, {}
@@ -136,8 +136,25 @@ def _magnitude_key(evaluator, budget) -> np.ndarray:
     return np.concatenate([evaluator.pools[i].magnitudes for i in evaluator.slices])
 
 
-def _select(job: CompressionJob, stage1, choose):
-    """Stage 2 over a computed Stage 1, by ``choose(evaluator, budget) -> key``.
+# The selection rows over one Stage 1, in order: name -> (cut, chooser). A row
+# reads ``cut(pool)`` of each pool, the pool or one part of it, and chooses by
+# ``chooser(job)(evaluator, budget) -> key``, whose key function is looked up then.
+ROWS = {
+    "learned": (lambda p: p, _learner),
+    "threshold": (lambda p: p, lambda job: _magnitude_key),
+    "low_rank_only": (
+        lambda p: replace(p, entry_values=p.entry_values[:0], entry_flat=p.entry_flat[:0]),
+        lambda job: _magnitude_key,
+    ),
+    "sparse_only": (
+        lambda p: replace(p, u=p.u[:, :0], sigma=p.sigma[:0], vt=p.vt[:0]),
+        lambda job: _magnitude_key,
+    ),
+}
+
+
+def select(job: CompressionJob, stage1, row: str = "learned"):
+    """Stage 2 of the selection row ``ROWS[row]`` over a computed Stage 1.
 
     Layers are chosen in budget groups, in order: one group of every layer
     in global mode, one group per layer in sequential mode. Each group has
@@ -153,6 +170,8 @@ def _select(job: CompressionJob, stage1, choose):
         (CompressionReport, dict layer index -> mask)
     """
     columns, pools, dense_loss, rpca_loss = stage1
+    cut, chooser = ROWS[row]
+    pools, choose = {i: cut(pool) for i, pool in pools.items()}, chooser(job)
     groups = [list(pools)] if job.mode == "global" else [[i] for i in pools]
     weights = list(job.model.layers)
     history: list[float] = []
@@ -203,59 +222,38 @@ def _select(job: CompressionJob, stage1, choose):
     return report, masks
 
 
-def _factorized(job: CompressionJob, choose):
-    """Stage 1, then the selection of ``choose`` with every layer factorized."""
-    stage1 = _stage1(job)
-    report, masks = _select(job, stage1, choose)
-    return report, {i: factorize(pool, masks[i]) for i, pool in stage1[1].items()}
+def _factorized(job: CompressionJob, row: str):
+    """Stage 1, then the selection of ``row`` with every layer factorized."""
+    computed = stage1(job)
+    report, masks = select(job, computed, row)
+    return report, {i: factorize(pool, masks[i]) for i, pool in computed[1].items()}
 
 
 def run(job: CompressionJob):
-    """Compress the job's model.
+    """Compress the job's model by the learned row.
 
     Returns:
         (CompressionReport, dict layer index -> CompressedLayer)
     """
-    return _factorized(job, _learner(job))
+    return _factorized(job, "learned")
 
 
 def heuristic_threshold_baseline(job: CompressionJob):
-    """Magnitude-ranked hard selection in the same budget groups, no learning.
+    """The ``threshold`` row: magnitude-ranked hard selection, no learning.
 
     In each budget group of the learned selection, candidates are visited by
     descending magnitude (singular value for triplets, absolute value for
     sparse entries) by the same greedy fill as the learned selection's final
     pass.
     """
-    return _factorized(job, _magnitude_key)
-
-
-def _family_pools(pools) -> dict[str, dict]:
-    """Pools of the family rows, each full pool cut to one part: its
-    triplets only, and its sparse entries only."""
-    return {
-        "low_rank_only": {
-            i: replace(p, entry_values=p.entry_values[:0], entry_flat=p.entry_flat[:0])
-            for i, p in pools.items()
-        },
-        "sparse_only": {
-            i: replace(p, u=p.u[:, :0], sigma=p.sigma[:0], vt=p.vt[:0]) for i, p in pools.items()
-        },
-    }
+    return _factorized(job, "threshold")
 
 
 def ablate_threshold(job: CompressionJob) -> list[tuple[str, CompressionReport]]:
-    """The learned selection and the three threshold baselines from one
-    Stage 1, all in the same budget groups.
-
-    Rows are ("learned", "threshold", "low_rank_only", "sparse_only"): the
-    reports of ``run`` and ``heuristic_threshold_baseline``, then the
-    threshold over the triplet-only and entry-only pools of the same Stage 1.
-    """
-    columns, pools, *losses = _stage1(job)
-    rows = [("learned", pools, _learner(job)), ("threshold", pools, _magnitude_key)]
-    rows += [(name, family, _magnitude_key) for name, family in _family_pools(pools).items()]
-    return [(name, _select(job, (columns, p, *losses), choose)[0]) for name, p, choose in rows]
+    """(name, report) of every row of ``ROWS``, in order, from one Stage 1
+    and in the same budget groups; no layer is factorized."""
+    computed = stage1(job)
+    return [(row, select(job, computed, row)[0]) for row in ROWS]
 
 
 def sweep_lambda(job: CompressionJob, lambdas) -> list[tuple[float | None, CompressionReport]]:
@@ -267,7 +265,7 @@ def sweep_lambda(job: CompressionJob, lambdas) -> list[tuple[float | None, Compr
     jobs = [replace(job, rpca_config=replace(job.rpca_config, lam=lam)) for lam in lambdas]
     if not jobs:
         raise ValueError("need at least one sparsity weight")
-    return [(j.rpca_config.lam, _select(j, _stage1(j), _learner(j))[0]) for j in jobs]
+    return [(j.rpca_config.lam, select(j, stage1(j))[0]) for j in jobs]
 
 
 def job_from_config(

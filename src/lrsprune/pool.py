@@ -127,9 +127,6 @@ class CompressedLayer:
     def stored_params(self) -> int:
         return int(self.u_prime.size + self.v_prime.size + np.count_nonzero(self.s_masked))
 
-    def dense(self) -> np.ndarray:
-        return self.u_prime @ self.v_prime.T + self.s_masked
-
 
 def factorize(pool: CandidatePool, mask) -> CompressedLayer:
     """Split the retained triplets into balanced factors via sqrt(sigma)."""

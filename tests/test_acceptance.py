@@ -27,7 +27,7 @@ from lrsprune import (
     run,
 )
 from lrsprune.cli import main
-from lrsprune.pipeline import _budget, _family_pools, _learner, _magnitude_key, _select, _stage1
+from lrsprune.pipeline import ROWS, select, stage1
 from references import (
     brute_force_best_mask,
     default_toy_model,
@@ -158,28 +158,21 @@ COVERING_CASES = [("toy", f) for f in (0.25, 0.5, 0.75)]
 
 @cache
 def threshold_medians(instance: str, fraction: float) -> dict:
-    """Medians of the learned row over pg seeds 0-9 and of the three threshold
-    rows on the instance, with the pool's total cost and the budget."""
+    """Medians over pg seeds 0-9 of every row of ``ROWS`` on the instance,
+    with the pool's total cost and the budget."""
     # Stage 1 depends on the model alone, so one decomposition serves the
-    # 10 pg seeds and the three threshold rows
-    base = default_job(budget_fraction=fraction, **INSTANCES[instance])
-    columns, pools, *losses = stage1 = _stage1(base)
-    learned = []
-    for seed in range(10):
-        job = default_job(pg_seed=seed, budget_fraction=fraction, **INSTANCES[instance])
-        learned.append(_select(job, stage1, _learner(job))[0].final_loss)
-    # the threshold rows hold no sampled state, so one evaluation per row is
-    # already the 10-seed median; the family rows select from family pools
-    rows = {"threshold": pools, **_family_pools(pools)}
-    medians = {
-        row: _select(base, (columns, row_pools, *losses), _magnitude_key)[0].final_loss
-        for row, row_pools in rows.items()
-    }
+    # 10 pg seeds and every row; the threshold rows hold no sampled state, so
+    # each of their medians is the one loss all 10 seeds give
+    jobs = [
+        default_job(pg_seed=seed, budget_fraction=fraction, **INSTANCES[instance])
+        for seed in range(10)
+    ]
+    computed = stage1(jobs[0])
+    reports = {row: [select(job, computed, row)[0] for job in jobs] for row in ROWS}
     return {
-        "learned": float(np.median(learned)),
-        **medians,
-        "pool_cost": sum(pool.total_cost for pool in pools.values()),
-        "budget": _budget(base, list(pools)),
+        **{row: float(np.median([r.final_loss for r in rs])) for row, rs in reports.items()},
+        "pool_cost": sum(pool.total_cost for pool in computed[1].values()),
+        "budget": reports["threshold"][0].budget,
     }
 
 

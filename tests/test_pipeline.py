@@ -25,35 +25,22 @@ from lrsprune.cli import format_report
 from lrsprune.matio import JobConfig, parse_job_config
 from lrsprune.pipeline import (
     MODES,
+    ROWS,
     CompressionJob,
     CompressionReport,
     _budget,
-    _family_pools,
-    _magnitude_key,
-    _select,
-    _stage1,
     ablate_threshold,
     default_job,
     heuristic_threshold_baseline,
     job_from_config,
     run,
+    select,
+    stage1,
     sweep_lambda,
 )
 from lrsprune.pool import build_pool, reconstruct
 from lrsprune.rpca import RpcaConfig, SvdFactorization, decompose
 from references import brute_force_best_mask, single_layer_job
-
-
-# the threshold rows of ``ablate_threshold``, "both" being the full pools
-FAMILIES = ("both", "low_rank_only", "sparse_only")
-
-
-def family_stage1(stage1, family):
-    """Stage 1 with the pools of the threshold row over ``family``."""
-    if family == "both":
-        return stage1
-    columns, pools, *losses = stage1
-    return (columns, _family_pools(pools)[family], *losses)
 
 
 @pytest.fixture(scope="module")
@@ -193,15 +180,17 @@ class TestFullBudget:
 
 
 class TestCoveredGroup:
-    @pytest.mark.parametrize("components", FAMILIES)
-    def test_keeps_every_eligible_candidate_without_the_chooser(self, components):
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_keeps_every_eligible_candidate_without_the_chooser(self, row, monkeypatch):
         # the stock job: a budget of 864 against a pool that costs 357
         job = default_job(calib_n=32)
-        stage1 = family_stage1(_stage1(job), components)
-        pools = stage1[1]
+        computed = stage1(job)
+        pools = {i: ROWS[row][0](pool) for i, pool in computed[1].items()}
         assert sum(pool.costs.sum() for pool in pools.values()) <= _budget(job, list(pools))
         calls = []
-        report, masks = _select(job, stage1, lambda *args: calls.append(args))
+        for name in ("_learned_key", "_magnitude_key"):
+            monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: calls.append(args))
+        report, masks = select(job, computed, row)
         assert calls == [] and report.history == [] and report.budget_too_small is False
         for i, pool in pools.items():
             assert masks[i].tobytes() == np.ones(pool.size, dtype=np.int8).tobytes()
@@ -227,7 +216,7 @@ def below_cheapest_jobs(draw):
     job = CompressionJob(
         model=model, calib=gen_calibration(model, 4, 0.0, rng), mode=draw(st.sampled_from(MODES))
     )
-    costs = np.concatenate([pool.costs for pool in _stage1(job)[1].values()])
+    costs = np.concatenate([pool.costs for pool in stage1(job)[1].values()])
     cheapest = int(costs.min()) if costs.size else model.dense_params
     budget = draw(st.integers(0, min(cheapest, model.dense_params) - 1))
     return replace(job, budget_fraction=(budget + 0.5) / model.dense_params)
@@ -236,7 +225,7 @@ def below_cheapest_jobs(draw):
 class TestBudgetTooSmall:
     @given(job=below_cheapest_jobs())
     def test_budget_below_cheapest_keeps_nothing(self, job):
-        pools = _stage1(job)[1]
+        pools = stage1(job)[1]
         report, compressed = run(job)
         assert report.used_cost == 0
         assert [ls.retained_rank for ls in report.layers] == [0] * len(pools)
@@ -333,17 +322,19 @@ def reference_threshold_masks(job, components):
 
 class TestThresholdBaselineReference:
     @pytest.mark.parametrize("fraction", [0.1, 0.15])
-    @pytest.mark.parametrize("components", FAMILIES)
+    @pytest.mark.parametrize("components", ["both", "low_rank_only", "sparse_only"])
     def test_masks_match_per_candidate_greedy(self, fraction, components):
         # the row over a family's pools keeps what the reference keeps of that
-        # family, and the reference keeps nothing of the other family
+        # family, and the reference keeps nothing of the other family; the
+        # threshold row reads both families
         job = default_job(budget_fraction=fraction)
-        stage1 = _stage1(job)
-        report, masks = _select(job, family_stage1(stage1, components), _magnitude_key)
+        computed = stage1(job)
+        row = "threshold" if components == "both" else components
+        report, masks = select(job, computed, row)
         expected, pool_cost = reference_threshold_masks(job, components)
         assert sorted(masks) == sorted(expected)
         for i, mask in expected.items():
-            t = stage1[1][i].n_triplets
+            t = computed[1][i].n_triplets
             part, rest = {
                 "both": (mask, mask[:0]),
                 "low_rank_only": (mask[:t], mask[t:]),
@@ -426,7 +417,7 @@ class TestIncrementalEvaluator:
     @pytest.mark.parametrize("mode", MODES)
     def test_loss_equals_full_rebuild(self, mode):
         job = default_job(calib_n=32, mode=mode)
-        pools = _stage1(job)[1]
+        pools = stage1(job)[1]
         groups = [list(pools)] if mode == "global" else [[i] for i in pools]
         rng = np.random.default_rng(7)
         weights = list(job.model.layers)
@@ -466,16 +457,15 @@ class TestIncrementalEvaluator:
         # the weights are compared byte for byte, since a loss may not see a
         # change that feeds only dead units
         job = default_job(calib_n=32, mode=mode)
-        pools = _stage1(job)[1]
+        pools = stage1(job)[1]
         rng = np.random.default_rng(3)
         walk_in_place(job, pools, rng)
         # a triplet-only, an entry-only and an all-zero layer, whose triplet
         # positions, if any, all point at the spare buffer slot
-        families = _family_pools(pools)
         none = SvdFactorization(u=np.zeros((24, 0)), sigma=np.zeros(0), v=np.zeros((16, 0)))
         pools = {
-            0: families["low_rank_only"][0],
-            1: families["sparse_only"][1],
+            0: ROWS["low_rank_only"][0](pools[0]),
+            1: ROWS["sparse_only"][0](pools[1]),
             2: build_pool(none, np.zeros((24, 16))),
         }
         assert pools[0].size == pools[0].n_triplets > 0
@@ -484,7 +474,7 @@ class TestIncrementalEvaluator:
 
     def test_rejects_masks_it_cannot_read_as_bool(self):
         job = default_job(calib_n=8)
-        pools = _stage1(job)[1]
+        pools = stage1(job)[1]
         evaluator = MaskedLossEvaluator(job.calib, job.model.layers, pools, list(pools), [])
         ones = np.ones(evaluator.costs.size, dtype=np.int8)
         for bad in (ones.astype(np.int64), ones.astype(bool), ones[1:]):
@@ -553,11 +543,10 @@ class TestAblateThreshold:
     @pytest.mark.parametrize("mode", ["global", "sequential"])
     def test_rows_equal_separate_runs(self, mode):
         job = default_job(model_seed=1, pg_seed=1, budget_fraction=0.15, mode=mode)
-        learned, _ = run(job)
-        stage1 = _stage1(job)
-        expected = [("learned", learned), ("threshold", heuristic_threshold_baseline(job)[0])] + [
-            (family, _select(job, family_stage1(stage1, family), _magnitude_key)[0])
-            for family in ("low_rank_only", "sparse_only")
+        separate = {"learned": run, "threshold": heuristic_threshold_baseline}
+        expected = [
+            (row, separate[row](job)[0] if row in separate else select(job, stage1(job), row)[0])
+            for row in ROWS
         ]
         rows = ablate_threshold(job)
         assert [v for v, _ in rows] == [v for v, _ in expected]
@@ -596,8 +585,8 @@ class TestStage1:
 
         monkeypatch.setattr(pipeline, "decompose", recording)
         monkeypatch.setattr(pipeline, "loss_with_masks", checking)
-        stage1 = _stage1(default_job(calib_n=8))
-        assert len(splits) == 2 * len(stage1[1])
+        computed = stage1(default_job(calib_n=8))
+        assert len(splits) == 2 * len(computed[1])
         assert all(ref() is None for ref in splits)
 
 
@@ -619,7 +608,7 @@ class TestSelect:
         monkeypatch.setattr(pipeline, "MaskedLossEvaluator", Recording)
         monkeypatch.setattr(pipeline, "stack_loss", checking)
         job = default_job(calib_n=8, budget_fraction=0.15, mode=mode)
-        report, _ = _select(job, _stage1(job), _magnitude_key)
+        report, _ = select(job, stage1(job), "threshold")
         assert len(evaluators) == (1 if mode == "global" else len(report.layers))
 
     @pytest.mark.parametrize("mode", MODES)
@@ -670,12 +659,13 @@ class TestSelect:
 class TestFamilyPools:
     @pytest.mark.parametrize("model_seed", [0, 1, 2])
     def test_each_family_pool_is_the_full_pool_cut_to_that_family(self, model_seed):
-        pools = _stage1(default_job(model_seed=model_seed))[1]
-        families = _family_pools(pools)
-        assert list(families) == ["low_rank_only", "sparse_only"]
+        pools = stage1(default_job(model_seed=model_seed))[1]
+        assert list(ROWS) == ["learned", "threshold", "low_rank_only", "sparse_only"]
         for i, pool in pools.items():
             t = pool.n_triplets
-            low_rank, sparse = families["low_rank_only"][i], families["sparse_only"][i]
+            # the full-pool rows read the Stage 1 pool itself, not a copy
+            assert ROWS["learned"][0](pool) is pool and ROWS["threshold"][0](pool) is pool
+            low_rank, sparse = ROWS["low_rank_only"][0](pool), ROWS["sparse_only"][0](pool)
             assert (low_rank.n_triplets, low_rank.size) == (t, t)
             assert (sparse.n_triplets, sparse.size) == (0, pool.size - t)
             for family, cut in ((low_rank, slice(0, t)), (sparse, slice(t, pool.size))):
@@ -756,9 +746,11 @@ class TestSweepLambda:
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
-    # each module reaches the others through their public names only
+    # each module, and the acceptance tests, reach the modules through their
+    # public names only
     private = []
-    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+    paths = sorted(Path(pipeline.__file__).parent.glob("*.py"))
+    for path in paths + [Path(__file__).with_name("test_acceptance.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").split(".")[0] == "lrsprune"
