@@ -21,7 +21,7 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,33 +37,35 @@ from .matio import (
     read_matrix,
     write_matrix,
 )
-from .pipeline import ablate_threshold, job_from_config, run, sweep_lambda
+from .pipeline import LayerSummary, ablate_threshold, job_from_config, run, sweep_lambda
 from .rpca import NonConvergenceError, SvdError, decompose
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """The one cell rule of every table: a float as its repr, a flag as 0 or 1, else str."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(int(x)) if isinstance(x, (bool, np.bool_)) else str(x)
+
+
+def _row(cells) -> str:
+    return "\t".join(map(_fmt, cells))
+
+
+# the summary lines of report.tsv, in order, each a CompressionReport field
+SUMMARY = (
+    "mode", "budget", "used_cost", "dense_loss", "rpca_loss", "final_loss", "budget_too_small"
+)
 
 
 def format_report(report) -> str:
-    """Stable tab-separated rendering: per-layer table, then a summary block."""
-    lines = ["layer\trows\tcols\trank_l\tnnz_s\tsparsity_s\tretained_rank\tsparse_nnz\tcost"]
-    for ls in report.layers:
-        lines.append(
-            f"{ls.layer_id}\t{ls.rows}\t{ls.cols}\t{ls.rank_l}\t{ls.nnz_s}\t"
-            f"{_fmt(ls.sparsity_s)}\t{ls.retained_rank}\t{ls.sparse_nnz}\t{ls.cost}"
-        )
-    lines.append("")
-    lines.append(f"mode\t{report.mode}")
-    lines.append(f"budget\t{report.budget}")
-    lines.append(f"used_cost\t{report.used_cost}")
-    lines.append(f"dense_loss\t{_fmt(report.dense_loss)}")
-    lines.append(f"rpca_loss\t{_fmt(report.rpca_loss)}")
-    lines.append(f"final_loss\t{_fmt(report.final_loss)}")
-    lines.append(f"budget_too_small\t{int(report.budget_too_small)}")
-    lines.append("rank_distribution\t" + ",".join(str(ls.retained_rank) for ls in report.layers))
-    lines.append("history\t" + ",".join(_fmt(h) for h in report.history))
-    return "\n".join(lines) + "\n"
+    """Stable tab-separated rendering: the layer table, whose columns are ``LayerSummary``'s
+    fields, then one line per ``SUMMARY`` field, the retained ranks and the loss history."""
+    rows = [[f.name for f in fields(LayerSummary)], *map(astuple, report.layers), ()]
+    rows += [(name, getattr(report, name)) for name in SUMMARY]
+    rows.append(("rank_distribution", ",".join(_fmt(ls.retained_rank) for ls in report.layers)))
+    rows.append(("history", ",".join(map(_fmt, report.history))))
+    return "".join(_row(cells) + "\n" for cells in rows)
 
 
 def _load_config(args) -> JobConfig:
@@ -132,9 +134,7 @@ def cmd_decompose(args) -> int:
     config = _load_config(args)
     result = decompose(read_matrix(args.matrix), config.rpca)
     stem = Path(args.matrix).stem
-    diag = "".join(
-        f"{k}\t{_fmt(r)}\n" for k, r in enumerate(result.residual_history, start=1)
-    )
+    diag = "".join(_row(kr) + "\n" for kr in enumerate(result.residual_history, start=1))
     files = {f"{stem}.l.capm": result.l, f"{stem}.s.capm": result.s}
     _publish(Path(args.out), files | {f"{stem}.diagnostics.txt": diag})
     _say(
@@ -198,12 +198,9 @@ def cmd_sweep_lambda(args) -> int:
     config, lambdas = _load_config(args), _parse_lambdas(args.lambdas)
     lines = ["lambda\trank_l\tsparsity_s\tfinal_loss\ttotal_nnz_s"]
     for lam, report in sweep_lambda(job_from_config(config), lambdas):
-        label, layers = "auto" if lam is None else _fmt(lam), report.layers
-        lines.append(
-            f"{label}\t{_fmt(np.mean([ls.rank_l for ls in layers]))}\t"
-            f"{_fmt(np.mean([ls.sparsity_s for ls in layers]))}\t{_fmt(report.final_loss)}\t"
-            f"{sum(ls.nnz_s for ls in layers)}"
-        )
+        ranks, sparsity, nnz = zip(*[(ls.rank_l, ls.sparsity_s, ls.nnz_s) for ls in report.layers])
+        label = "auto" if lam is None else lam
+        lines.append(_row((label, np.mean(ranks), np.mean(sparsity), report.final_loss, sum(nnz))))
     _write_table(args, lines, "sweep.tsv")
     return 0
 
@@ -212,10 +209,7 @@ def cmd_ablate_threshold(args) -> int:
     config = _load_config(args)
     lines = ["fraction\tvariant\tfinal_loss\tused_cost"]
     for variant, report in ablate_threshold(job_from_config(config)):
-        lines.append(
-            f"{_fmt(config.budget_fraction)}\t{variant}\t"
-            f"{_fmt(report.final_loss)}\t{report.used_cost}"
-        )
+        lines.append(_row((config.budget_fraction, variant, report.final_loss, report.used_cost)))
     _write_table(args, lines, "ablation.tsv")
     return 0
 

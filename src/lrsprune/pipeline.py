@@ -73,7 +73,9 @@ class CompressionJob:
 
 @dataclass
 class LayerSummary:
-    layer_id: int
+    """One layer of a report; its fields, in order, are report.tsv's layer columns."""
+
+    layer: int
     rows: int
     cols: int
     rank_l: int  # decomposition rank before pruning
@@ -198,7 +200,7 @@ def select(job: CompressionJob, stage1, row: str = "learned"):
         raise ValueError(f"task loss must be finite, got {final_loss}")
     summaries = [
         LayerSummary(
-            layer_id=i,
+            layer=i,
             rows=pool.rows,
             cols=pool.cols,
             **columns[i],

@@ -1,6 +1,8 @@
 """File formats, job configuration parsing, and the command line surface."""
 
+import dataclasses
 import struct
+import typing
 import warnings
 from pathlib import Path
 
@@ -795,8 +797,62 @@ def test_format_report_is_stable_text(quick_report):
     text = format_report(quick_report)
     assert text == format_report(quick_report)
     lines = text.splitlines()
-    assert lines[0].startswith("layer\trows\tcols")
+    assert lines[0] == "layer\trows\tcols\trank_l\tnnz_s\tsparsity_s\tretained_rank\tsparse_nnz\tcost"
     assert any(line.startswith("final_loss\t") for line in lines)
+
+
+def test_format_report_header_is_layer_summary_fields(quick_report):
+    header = format_report(quick_report).splitlines()[0]
+    assert header.split("\t") == [f.name for f in dataclasses.fields(pipeline.LayerSummary)]
+
+
+@pytest.mark.parametrize(
+    "mode, fraction, too_small",
+    [("global", 0.5, False), ("sequential", 0.5, False), ("sequential", 0.001, True)],
+)
+def test_format_report_parses_back_to_the_report(mode, fraction, too_small):
+    report, _ = pipeline.run(pipeline.default_job(calib_n=8, mode=mode, budget_fraction=fraction))
+    assert report.budget_too_small is too_small
+    lines = format_report(report).splitlines()
+    n = len(report.layers)
+    # each cell parses by its field's type: int, or float for sparsity_s
+    column_type = typing.get_type_hints(pipeline.LayerSummary)
+    names = lines[0].split("\t")
+    for line, ls in zip(lines[1 : 1 + n], report.layers, strict=True):
+        cells = zip(names, line.split("\t"), strict=True)
+        assert tuple(column_type[name](c) for name, c in cells) == dataclasses.astuple(ls)
+    assert lines[1 + n] == ""
+    summary = dict(line.split("\t") for line in lines[2 + n :])
+    assert list(summary) == [*cli.SUMMARY, "rank_distribution", "history"]
+    assert summary["mode"] == report.mode
+    for name in ("budget", "used_cost"):
+        assert int(summary[name]) == getattr(report, name)
+    for name in ("dense_loss", "rpca_loss", "final_loss"):
+        assert float(summary[name]) == getattr(report, name)
+    assert summary["budget_too_small"] == ("1" if too_small else "0")
+    ranks = [ls.retained_rank for ls in report.layers]
+    assert [int(r) for r in summary["rank_distribution"].split(",")] == ranks
+    assert [float(h) for h in filter(None, summary["history"].split(","))] == report.history
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1 / 3, "0.3333333333333333"),
+        (2.0, "2.0"),
+        (np.float64(1e-300), "1e-300"),
+        (np.float32(0.5), "0.5"),
+        (True, "1"),
+        (False, "0"),
+        (np.bool_(True), "1"),
+        (np.bool_(False), "0"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        ("sequential", "sequential"),
+    ],
+)
+def test_fmt_is_the_one_cell_rule(value, text):
+    assert cli._fmt(value) == text
 
 
 @pytest.fixture(scope="module")

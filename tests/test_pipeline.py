@@ -361,7 +361,7 @@ class TestSequentialMode:
         for variant, report in ablate_threshold(replace(job, budget_fraction=0.15)):
             assert report.budget == sum(per_layer), variant
             for ls, cap in zip(report.layers, per_layer):
-                assert ls.cost <= cap, (variant, ls.layer_id)
+                assert ls.cost <= cap, (variant, ls.layer)
 
 
 # which layers of a group each step of the walk changes
